@@ -6,10 +6,9 @@ Two tables (core logic in :mod:`repro.bench.serving`, shared with the CLI's
 * **fan-out wall-clock** — a selective-rectangle workload served through the
   sequential :class:`repro.service.ShardedQueryEngine` loop vs the
   concurrent :class:`repro.service.AsyncQueryEngine` fan-out, asserted
-  result-identical per query.  The concurrent path's win comes from pruning
-  shards whose bounding box misses the rectangle (the ``pruned_pct``
-  column makes the source of the win explicit) plus worker-pool overlap on
-  multi-core hosts.  Wall-clock — not cost units — is the honest metric for
+  result-identical per query.  Both paths run one fan-out plan and skip the
+  same shards (``pruned_pct``); the concurrent path differs only in
+  overlapping the remaining shard queries on a worker pool.  Wall-clock — not cost units — is the honest metric for
   a concurrency layer, so this benchmark, unlike the cost experiments,
   times with ``time.perf_counter``.
 * **mixed churn** — one writer streaming ``insert_many``/``delete`` batches

@@ -5,7 +5,7 @@ dataset) is served through :class:`repro.service.ShardedQueryEngine` at
 shard counts S = 1, 2, 4, 8 under a sweep of per-query budgets.  Measured
 per (S, budget): total charged cost, fallbacks, queries with at least one
 degraded slice, degraded slices, and the degradation *rate* (degraded
-slices / total slices).  Two claims under test:
+slices / served slices; a pruned shard serves none).  Two claims under test:
 
 * **cost** — fan-out overhead is modest: every shard pays its own planner
   probes, so total cost grows mildly with S, while per-shard work (and
@@ -39,7 +39,8 @@ def _serve(engine, workload, budget):
     start = len(engine.records)
     engine.batch(workload, budget=budget, counter=counter)
     traces = engine.records[start:]
-    slices = [s for t in traces for s in t.shards]
+    # Pruned shards (bounds miss the rectangle) serve no slice.
+    slices = [s for t in traces for s in t.shards if s["strategy"] != "pruned"]
     return {
         "cost": counter.total,
         "fallbacks": sum(len(t.fallbacks) for t in traces),

@@ -4,16 +4,17 @@ Importable machinery behind ``benchmarks/bench_async_serving.py`` and the
 CLI's ``bench-serve`` subcommand.  Two experiments:
 
 **Fan-out** (:func:`bench_fanout`).  A selective-rectangle workload is
-served twice over the same sharded dataset — sequentially through
+served twice over the same sharded dataset — inline through
 :class:`~repro.service.ShardedQueryEngine` and concurrently through
 :class:`~repro.service.AsyncQueryEngine` — and wall-clock is compared.
-Unlike the cost-unit experiments, wall-clock is the honest metric here: the
-concurrent path wins by (a) pruning shards whose bounding box misses the
-query rectangle (work the sequential loop performs to keep its pinned trace
-shape) and (b) overlapping the remaining shard queries on the worker pool,
-which on a multi-core host adds true parallelism.  The per-row ``pruned``
-column reports how much of the win came from pruning, so single-core runs
-stay interpretable.  Both paths are asserted result-identical per query.
+Unlike the cost-unit experiments, wall-clock is the honest metric here:
+both paths run the same fan-out plan, pruning shards whose bounding box
+misses the query rectangle and splitting the budget over the rest, so they
+record the same cost; the concurrent path differs only in overlapping the
+remaining shard queries on the worker pool, which on a multi-core host
+adds true parallelism.  The per-row ``pruned_pct`` column reports the
+share of shard slices pruning skipped (the same on both paths).  Both paths are asserted
+result-identical per query.
 
 **Mixed churn** (:func:`bench_mixed`).  Sustained concurrent read/write
 traffic over :class:`~repro.service.AsyncDynamicIndex`: one writer streams

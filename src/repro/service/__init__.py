@@ -13,11 +13,12 @@ accounting together by hand.  This package is that layer for :mod:`repro`:
   fallbacks taken, cost snapshot, cache status, per-shard slices),
   exportable as JSON;
 * :class:`ShardedQueryEngine` / :func:`partition_dataset` — spatial
-  sharding: median kd-split partitioning, one engine per shard, budget
-  split with redistribution, merged cost traces;
+  sharding: median kd-split partitioning, one engine per shard, one
+  fan-out plan (bounding-box pruning, exact upfront budget split, merged
+  cost traces);
 * :class:`AsyncQueryEngine` / :class:`AdmissionController` — asyncio front
-  end: bounded in-flight cost with budget-machinery shedding, concurrent
-  per-shard fan-out with bounding-box pruning;
+  end: bounded in-flight cost with budget-machinery shedding, the same
+  fan-out plan with its shards run concurrently;
 * :class:`AsyncDynamicIndex` / :class:`Snapshot` / :class:`SnapshotManager`
   — snapshot-isolated serving over the dynamized index (writers publish
   immutable epochs, readers pin them lock-free).
@@ -26,7 +27,7 @@ accounting together by hand.  This package is that layer for :mod:`repro`:
 from .async_engine import AdmissionController, AsyncDynamicIndex, AsyncQueryEngine
 from .cache import LRUCache
 from .engine import QueryEngine, QueryRecord
-from .sharding import ShardedQueryEngine, partition_dataset, shard_share, split_budget_exact
+from .sharding import ShardedQueryEngine, partition_dataset, split_budget_exact
 from .snapshots import Snapshot, SnapshotManager
 
 __all__ = [
@@ -40,6 +41,5 @@ __all__ = [
     "Snapshot",
     "SnapshotManager",
     "partition_dataset",
-    "shard_share",
     "split_budget_exact",
 ]

@@ -15,15 +15,14 @@ fires and the query is *shed* — refused up front with a
 instead of being allowed to pile latency onto everything already running.
 
 **Concurrent shard fan-out** (:class:`AsyncQueryEngine` over a
-:class:`~repro.service.sharding.ShardedQueryEngine`).  The sequential
-per-shard loop becomes a worker-pool fan-out: every shard whose bounding box
-intersects the query rectangle runs concurrently (one worker thread each,
-per-shard locks serializing same-shard access), shards whose bounds miss the
-rectangle are pruned outright, and the budget is fixed upfront with the
-exact split :func:`~repro.service.sharding.split_budget_exact` (concurrent
-shards cannot redistribute a straggler pool).  Results, costs, and traces
-merge back on the event-loop thread through the same finish path as the
-sequential engine, so records and metrics stay comparable.
+:class:`~repro.service.sharding.ShardedQueryEngine`).  The front end runs
+the engine's own :class:`~repro.service.sharding.FanoutPlan` — the one the
+synchronous engine runs inline — and supplies only the part that runs
+shards: the plan is built (pin, validate, cache, prune, exact budget split)
+and finished (merge, record) on the event-loop thread, and in between the
+active shards run concurrently on a worker pool, per-shard locks
+serializing same-shard access.  Records, costs and metrics are therefore
+identical to synchronous serving, query for query.
 
 **Snapshot isolation** (:class:`AsyncDynamicIndex` over a
 :class:`~repro.core.dynamic.DynamicOrpKw`).  Writers serialize behind an
@@ -45,16 +44,16 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..costmodel import CostCounter, ensure_counter
+from ..costmodel import CostCounter
 from ..dataset import KeywordObject
 from ..errors import BudgetExceeded, ValidationError
 from ..geometry.rectangles import Rect
 from ..telemetry.events import EventLog
 from ..telemetry.sampler import TailSampler
 from ..telemetry.slo import SLOMonitor, SloShed
-from ..trace import MetricsRegistry, Tracer
+from ..trace import MetricsRegistry
 from .engine import QueryEngine, QueryRecord
-from .sharding import ShardedQueryEngine, split_budget_exact
+from .sharding import ShardedQueryEngine, ShardRun
 from .snapshots import Snapshot, SnapshotManager
 
 #: Reservation charged for an unbudgeted query (cost units).  Unbudgeted
@@ -197,7 +196,7 @@ class AsyncQueryEngine:
         self.events = events
         self.sampler = sampler
         self.slo = slo
-        if events is not None and getattr(engine, "_events", None) is None:
+        if events is not None and engine.events is None:
             engine.attach_events(events)
         self.admission = AdmissionController(max_inflight_cost, slo=slo)
         self._sharded = isinstance(engine, ShardedQueryEngine)
@@ -311,27 +310,12 @@ class AsyncQueryEngine:
         budget: Optional[int],
         reason: str = "shed:admission",
     ) -> QueryRecord:
-        """Append a refused query's record (strategy ``shed``) and meter it."""
+        """Record a refused query (strategy ``shed``) and meter it."""
         self._shed_count += 1
         self.metrics.counter("shed_total").inc()
         if reason != "shed:admission":
             self.metrics.counter("shed_slo_total").inc()
-        try:
-            rect = QueryEngine._coerce_rect(rect)
-            lo, hi = rect.lo, rect.hi
-        except ValidationError:
-            lo = hi = ()
-        record = QueryRecord(
-            query_id=0,  # never served; ids belong to admitted queries
-            rect_lo=lo,
-            rect_hi=hi,
-            keywords=tuple(keywords),
-            strategy="shed",
-            cache="bypass",
-            budget=budget,
-            reason=reason,
-        )
-        self.engine._records.append(record)
+        record = self.engine.record_shed(rect, keywords, budget, reason)
         if self.events is not None:
             self.events.emit(
                 "query_shed",
@@ -372,18 +356,14 @@ class AsyncQueryEngine:
     ) -> Tuple[Tuple[KeywordObject, ...], QueryRecord]:
         """One-at-a-time serve of an unsharded engine from the pool.
 
-        Returns the results *and* their record, read back while the engine
-        lock is still held — reading ``last_record`` after the await could
-        see a concurrent query's record instead.
+        The engine hands back the record it built: the newest record in its
+        deque may already be a shed appended from the loop thread.
         """
         loop = asyncio.get_running_loop()
 
         def run() -> Tuple[Tuple[KeywordObject, ...], QueryRecord]:
             with self._engine_lock:
-                results = self.engine.query(
-                    rect, keywords, budget=budget, counter=counter
-                )
-                return results, self.engine.last_record
+                return self.engine.serve(rect, keywords, budget, counter)
 
         return await loop.run_in_executor(self._pool, run)
 
@@ -394,145 +374,28 @@ class AsyncQueryEngine:
         budget: Optional[int],
         counter: Optional[CostCounter],
     ) -> Tuple[Tuple[KeywordObject, ...], QueryRecord]:
-        """Concurrent fan-out with pruning and an exact upfront budget split.
+        """The engine's fan-out plan with its active shards run concurrently."""
+        plan = self.engine.plan(rect, keywords, budget, counter)
+        if plan.record is None:
+            # A rebalance may have grown the shard count since construction;
+            # extend the lock list on the loop thread before dispatching.
+            while len(self._shard_locks) < plan.num_shards:
+                self._shard_locks.append(threading.Lock())
 
-        Validation, cache, merging, and recording all happen on the loop
-        thread (the engine's bookkeeping is not thread-safe); only the
-        per-shard queries run on the pool, each under its shard's lock.
-        """
-        engine: ShardedQueryEngine = self.engine
-        loop = asyncio.get_running_loop()
-        rect, words = engine._validate(rect, keywords)
-        caller = ensure_counter(counter)
-        # Pin the published shard map once (on the loop thread): pruning,
-        # budget split, shard queries, and the cache key all run against one
-        # consistent layout even if a writer publishes an insert or a
-        # rebalance cutover mid-flight.
-        state = engine._state
-        num_shards = len(state.engines)
-        engine._queries_served += 1
-        query_id = engine._queries_served
-        engine.metrics.counter("queries_total").inc()
+            def run_shard(shard_id: int) -> ShardRun:
+                with self._shard_locks[shard_id]:
+                    return plan.run_shard(shard_id)
 
-        tracer: Optional[Tracer] = None
-        if engine.tracing:
-            tracer = Tracer(
-                "sharded_query", "sharding",
-                query_id=query_id, shards=num_shards, fanout="async",
-            )
-
-        key = (state.epoch_id, rect.lo, rect.hi, frozenset(words))
-        cached, hit = engine._cache.lookup(key)
-        if hit:
-            # No await between the finish call and the last_record read, so
-            # the record is this query's own.
-            results = engine._finish_cache_hit(
-                query_id, rect, words, budget, cached, tracer
-            )
-            return results, engine.last_record
-        engine.metrics.counter("cache_misses_total").inc()
-
-        # Prune shards whose bounding box misses the rectangle (empty shards
-        # have no box and are always pruned).  The pinned map's bounds are
-        # refreshed on every publish, so a shard holding freshly inserted
-        # objects outside its build-time box is never pruned away.  The
-        # budget is split exactly over the shards that actually run.
-        active = [
-            shard_id
-            for shard_id, bounds in enumerate(state.bounds)
-            if bounds is not None and rect.intersects(bounds)
-        ]
-        shares: Dict[int, Optional[int]]
-        if budget is None:
-            shares = {shard_id: None for shard_id in active}
-        else:
-            shares = dict(
-                zip(active, split_budget_exact(budget, max(len(active), 1)))
-            )
-        self.metrics.counter("shards_pruned_total").inc(
-            num_shards - len(active)
-        )
-        # A rebalance may have grown the shard count since construction;
-        # extend the lock list on the loop thread before dispatching.
-        while len(self._shard_locks) < num_shards:
-            self._shard_locks.append(threading.Lock())
-
-        def run_shard(shard_id: int):
-            share = shares[shard_id]
-            # One tracer per worker (tracers are single-stack); its finished
-            # spans are grafted into the fan-out tree on the loop thread.
-            shard_tracer = (
-                Tracer("fanout", "sharding") if tracer is not None else None
-            )
-            with self._shard_locks[shard_id]:
-                objs, probe, record = engine._query_shard(
-                    state,
-                    shard_id,
-                    rect,
-                    words,
-                    share,
-                    shard_tracer,
+            loop = asyncio.get_running_loop()
+            plan.finish(
+                await asyncio.gather(
+                    *(
+                        loop.run_in_executor(self._pool, run_shard, shard_id)
+                        for shard_id in plan.active
+                    )
                 )
-            return shard_id, objs, probe, record, shard_tracer
-
-        outcomes = await asyncio.gather(
-            *(
-                loop.run_in_executor(self._pool, run_shard, shard_id)
-                for shard_id in active
             )
-        )
-
-        spent = CostCounter()
-        fallbacks: List[Dict[str, Any]] = []
-        slices: List[Dict[str, Any]] = []
-        merged: List[KeywordObject] = []
-        by_shard = {outcome[0]: outcome for outcome in outcomes}
-        for shard_id in range(num_shards):
-            if shard_id not in by_shard:
-                slices.append(
-                    {
-                        "shard_id": shard_id,
-                        "strategy": "pruned",
-                        "budget": 0,
-                        "cost": 0,
-                        "degraded": False,
-                    }
-                )
-                continue
-            _, objs, probe, record, shard_tracer = by_shard[shard_id]
-            merged.extend(objs)
-            for fallback in record.fallbacks:
-                fallbacks.append(dict(fallback, shard=shard_id))
-            slices.append(
-                {
-                    "shard_id": shard_id,
-                    "strategy": record.strategy,
-                    "budget": shares[shard_id],
-                    "cost": probe.total,
-                    "degraded": record.degraded,
-                }
-            )
-            spent.merge(probe)
-            if tracer is not None and shard_tracer is not None:
-                for child in shard_tracer.finish().children:
-                    tracer.root.graft(child)
-
-        results = engine._merge_results(merged)
-        results = engine._finish_fanout(
-            query_id=query_id,
-            rect=rect,
-            words=words,
-            budget=budget,
-            spent=spent,
-            fallbacks=fallbacks,
-            slices=slices,
-            results=results,
-            caller=caller,
-            tracer=tracer,
-            cache_key=key,
-        )
-        # Synchronous finish on the loop thread: last_record is this query's.
-        return results, engine.last_record
+        return plan.results, plan.record
 
     # -- observability -----------------------------------------------------------
 

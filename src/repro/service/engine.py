@@ -19,6 +19,13 @@ If every strategy blows the budget, the cheapest one is re-run *unbudgeted*
 
 All strategies are exact, so fallbacks and degradation never change the
 answer — only the cost of producing it.
+
+Bookkeeping
+-----------
+:class:`ServingBookkeeping` is the one serving surface this engine and
+:class:`~repro.service.sharding.ShardedQueryEngine` share: query ids, the
+epoch-keyed result cache, the finish step that records, meters and
+accounts a served query, the record deque, events and the JSON exports.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from ..core.planner import HybridPlanner
 from ..telemetry.events import EventLog
 from ..telemetry.quantiles import StatsCollector
 from ..trace import MetricsRegistry, Tracer, span_for
+from .cache import LRUCache
 
 #: A query as the batch API accepts it: a (rect, keywords) pair, where the
 #: rectangle may be a Rect or a flat [lo..., hi...] coordinate list.
@@ -104,7 +112,422 @@ class QueryRecord:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-class QueryEngine:
+def coerce_rect(rect: Union[Rect, Sequence[float]]) -> Rect:
+    """A query rectangle from a :class:`Rect` or a flat ``[lo..., hi...]`` list."""
+    if isinstance(rect, Rect):
+        return rect
+    coords = [float(c) for c in rect]
+    for coord in coords:
+        # Rect itself allows infinite bounds (Rect.full), but a flat
+        # coordinate list comes from an external caller (CLI, JSONL
+        # workload) where a non-finite value is a data error: NaN makes
+        # containment tests silently inconsistent, inf silently turns a
+        # typo into an unbounded scan.
+        if not math.isfinite(coord):
+            raise ValidationError(
+                f"flat rectangle has a non-finite coordinate ({coord})"
+            )
+    if len(coords) % 2 != 0:
+        raise ValidationError(
+            f"flat rectangle needs an even coordinate count, got {len(coords)}"
+        )
+    dim = len(coords) // 2
+    return Rect(coords[:dim], coords[dim:])
+
+
+@dataclass
+class PendingQuery:
+    """A validated, id-stamped query between its cache lookup and its finish.
+
+    ``results`` and ``record`` are set once the query is answered: by the
+    cache lookup on a hit, by :meth:`ServingBookkeeping._finish` otherwise.
+    """
+
+    query_id: int
+    rect: Rect
+    words: List[int]
+    budget: Optional[int]
+    caller: CostCounter
+    key: Tuple
+    #: The query's span recorder; ``owned`` means this engine finishes it
+    #: and attaches the tree to the record (not a caller nesting it).
+    tracer: Optional[Tracer] = None
+    owned: bool = False
+    results: Optional[Tuple[KeywordObject, ...]] = None
+    record: Optional[QueryRecord] = None
+
+
+class ServingBookkeeping:
+    """The serving surface :class:`QueryEngine` and
+    :class:`~repro.service.sharding.ShardedQueryEngine` share.
+
+    Query ids, the epoch-keyed result cache, the cache-hit record, the
+    finish step (cache put, :class:`QueryRecord`, lifetime counts, metrics,
+    planner statistics, events, caller accounting), the record deque and
+    the JSON exports.  A subclass serves a query as :meth:`_begin` — which
+    answers cache hits outright — then its own execution, then exactly one
+    :meth:`_finish`.  Neither step is thread-safe: a concurrent front end
+    runs both on one thread and only the execution in between elsewhere.
+    """
+
+    def _init_bookkeeping(
+        self,
+        default_budget: Optional[int],
+        cache_size: int,
+        keep_records: int,
+        tracing: bool,
+        metrics: Optional[MetricsRegistry],
+        events: Optional[EventLog],
+    ) -> None:
+        if default_budget is not None and default_budget < 1:
+            raise ValidationError(f"default_budget must be >= 1, got {default_budget}")
+        if keep_records < 1:
+            raise ValidationError(f"keep_records must be >= 1, got {keep_records}")
+        self.default_budget = default_budget
+        self.tracing = tracing
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._events = events
+        #: Per-(strategy, backend) running statistics — the planner feed.
+        self.stats_collector = StatsCollector()
+        self.counter = CostCounter()  # engine-lifetime aggregate
+        self._cache = LRUCache(cache_size)
+        self._records: Deque[QueryRecord] = deque(maxlen=keep_records)
+        self._queries_served = 0
+        self._strategy_counts: Dict[str, int] = {}
+        self._fallback_count = 0
+        self._degraded_count = 0  # queries with a degraded strategy or slice
+        self._degraded_slices = 0  # fanned-out queries only
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # The event log is a live operational attachment (often shared
+        # across the serving stack): persisting it would duplicate the
+        # shared log per saved engine.
+        state = dict(self.__dict__)
+        state["_events"] = None
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Engines pickled before the trace layer, the vectorized backend or
+        # the telemetry subsystem lack these fields; default them so old
+        # index files keep serving (and stats()) cleanly.
+        self.__dict__.update(state)
+        self.__dict__.setdefault("tracing", False)
+        self.__dict__.setdefault("backend", "cost_model")
+        self.__dict__.setdefault("_events", None)
+        self.__dict__.setdefault("_degraded_slices", 0)
+        if self.__dict__.get("metrics") is None:
+            self.metrics = MetricsRegistry()
+        if self.__dict__.get("stats_collector") is None:
+            self.stats_collector = StatsCollector()
+
+    def _corpus_size(self) -> int:
+        """Objects currently served (the planner feed's selectivity base)."""
+        return len(self.dataset)
+
+    # -- the query lifecycle -----------------------------------------------------
+
+    def _validate(
+        self, rect: Union[Rect, Sequence[float]], keywords: Sequence[int]
+    ) -> Tuple[Rect, List[int]]:
+        """Coerce and validate a query's rectangle and keyword set."""
+        rect = coerce_rect(rect)
+        words = sorted(set(validate_nonempty_keywords(keywords)))
+        if len(words) > self.max_k:
+            raise ValidationError(
+                f"{len(words)} distinct keywords exceed max_k={self.max_k}"
+            )
+        if self.dataset.dim is not None and rect.dim != self.dataset.dim:
+            raise ValidationError(
+                f"query rectangle is {rect.dim}-dimensional, "
+                f"data is {self.dataset.dim}-dimensional"
+            )
+        return rect, words
+
+    def _begin(
+        self,
+        rect: Union[Rect, Sequence[float]],
+        keywords: Sequence[int],
+        budget: Optional[int],
+        counter: Optional[CostCounter],
+        epoch: int = 0,
+        tracer: Optional[Tracer] = None,
+        root: Tuple[str, str] = ("query", "engine"),
+        **trace_attrs: Any,
+    ) -> PendingQuery:
+        """Validate, stamp an id, and answer the query from the cache if it can.
+
+        The cache key carries ``epoch`` (the published index version), so a
+        write that publishes a new version can never be served a stale
+        result.  With ``tracer=None`` and tracing on, the query owns a fresh
+        tracer named ``root``; a passed tracer stays the caller's.
+        """
+        rect, words = self._validate(rect, keywords)
+        pending = PendingQuery(
+            query_id=self._queries_served + 1,
+            rect=rect,
+            words=words,
+            budget=budget if budget is not None else self.default_budget,
+            caller=ensure_counter(counter),
+            key=(epoch, rect.lo, rect.hi, frozenset(words)),
+            tracer=tracer,
+        )
+        self._queries_served = pending.query_id
+        self.metrics.counter("queries_total").inc()
+        if tracer is None and self.tracing:
+            pending.tracer = Tracer(*root, query_id=pending.query_id, **trace_attrs)
+            pending.owned = True
+
+        cached, hit = self._cache.lookup(pending.key)
+        if not hit:
+            self.metrics.counter("cache_misses_total").inc()
+            return pending
+        record = QueryRecord(
+            query_id=pending.query_id,
+            rect_lo=rect.lo,
+            rect_hi=rect.hi,
+            keywords=tuple(words),
+            strategy="cache",
+            cache="hit",
+            budget=pending.budget,
+            result_count=len(cached),
+        )
+        if pending.owned:
+            record.trace = pending.tracer.finish().to_dict()
+        self._records.append(record)
+        self._strategy_counts["cache"] = self._strategy_counts.get("cache", 0) + 1
+        self.metrics.counter("cache_hits_total").inc()
+        self.metrics.counter("strategy_cache_total").inc()
+        if self._events is not None:
+            self._events.emit(
+                "query_finish",
+                query_id=pending.query_id,
+                strategy="cache",
+                cache="hit",
+                cost_total=0,
+                result_count=len(cached),
+                degraded=False,
+            )
+        pending.results, pending.record = cached, record
+        return pending
+
+    def _finish(
+        self,
+        pending: PendingQuery,
+        results: Iterable[KeywordObject],
+        strategy: str,
+        spent: CostCounter,
+        fallbacks: Sequence[Dict[str, Any]] = (),
+        degraded: bool = False,
+        estimates: Optional[Dict[str, Any]] = None,
+        backend: str = "cost_model",
+        slices: Optional[List[Dict[str, Any]]] = None,
+    ) -> QueryRecord:
+        """Cache, record, meter and account one executed query.
+
+        Returns the record it built (also stored on ``pending``): a
+        concurrent front end must never look for it in :attr:`last_record`,
+        where another thread's record may already sit on top.  ``slices``
+        are a fan-out's per-shard slices; a degraded slice is metered too.
+        """
+        # Record and cache before touching the caller's counter, and fold the
+        # spent units into it with absorb() (never merge()): a caller-supplied
+        # counter may carry its own budget, and the engine's contract is that
+        # BudgetExceeded never escapes query() — the trace and the cache entry
+        # must land even when the caller's budget is already blown.
+        results = tuple(results)
+        query_id = pending.query_id
+        evicted = self._cache.put(pending.key, results)
+        if evicted and self._events is not None:
+            self._events.emit(
+                "cache_evict", query_id=query_id, evicted=evicted,
+                size=len(self._cache), capacity=self._cache.capacity,
+            )
+        record = QueryRecord(
+            query_id=query_id,
+            rect_lo=pending.rect.lo,
+            rect_hi=pending.rect.hi,
+            keywords=tuple(pending.words),
+            strategy=strategy,
+            cache="miss",
+            budget=pending.budget,
+            backend=backend,
+            degraded=degraded,
+            fallbacks=list(fallbacks),
+            cost=spent.snapshot(),
+            estimates={
+                name: float(value)
+                for name, value in (estimates or {}).items()
+                if isinstance(value, (int, float))
+            },
+            result_count=len(results),
+            shards=slices or [],
+        )
+        if pending.owned:
+            record.trace = pending.tracer.finish().to_dict()
+        self._records.append(record)
+        cost_total = record.cost.get("total", 0)
+        degraded_slices = sum(1 for s in slices if s["degraded"]) if slices else 0
+        self._strategy_counts[strategy] = self._strategy_counts.get(strategy, 0) + 1
+        self._fallback_count += len(fallbacks)
+        self._degraded_slices += degraded_slices
+        if degraded:
+            self._degraded_count += 1
+        self._observe_metrics(strategy, record, degraded_slices)
+        self.stats_collector.observe(
+            strategy, backend, cost_total, len(results),
+            corpus_size=self._corpus_size(),
+        )
+        if self._events is not None:
+            if degraded:
+                extra = {"degraded_slices": degraded_slices} if slices else {}
+                self._events.emit(
+                    "query_degraded",
+                    query_id=query_id,
+                    strategy=strategy,
+                    fallbacks=len(fallbacks),
+                    budget=pending.budget,
+                    cost_total=cost_total,
+                    **extra,
+                )
+            self._events.emit(
+                "query_finish",
+                query_id=query_id,
+                strategy=strategy,
+                cache="miss",
+                cost_total=cost_total,
+                result_count=len(results),
+                degraded=degraded,
+            )
+        self.counter.absorb(spent)
+        pending.caller.absorb(spent)
+        pending.results, pending.record = results, record
+        return record
+
+    def _observe_metrics(
+        self, strategy: str, record: QueryRecord, degraded_slices: int
+    ) -> None:
+        """Feed the registry one executed (non-cache-hit) query's outcome."""
+        metrics = self.metrics
+        metrics.counter(f"strategy_{strategy}_total").inc()
+        if record.fallbacks:
+            metrics.counter("fallbacks_total").inc(len(record.fallbacks))
+            metrics.counter("budget_exhausted_total").inc()
+        if record.degraded:
+            metrics.counter("degraded_total").inc()
+        if degraded_slices:
+            metrics.counter("degraded_slices_total").inc(degraded_slices)
+        cost = record.cost
+        for category in CATEGORIES:
+            metrics.histogram(f"cost_{category}").observe(cost.get(category, 0))
+        metrics.histogram("cost_total").observe(cost.get("total", 0))
+        metrics.histogram("result_count").observe(record.result_count)
+
+    def record_shed(
+        self,
+        rect: Union[Rect, Sequence[float]],
+        keywords: Sequence[int],
+        budget: Optional[int],
+        reason: str,
+    ) -> QueryRecord:
+        """Append the record of a query a front end refused to serve."""
+        try:
+            rect = coerce_rect(rect)
+            lo, hi = rect.lo, rect.hi
+        except ValidationError:
+            lo = hi = ()
+        record = QueryRecord(
+            query_id=0,  # never served; ids belong to admitted queries
+            rect_lo=lo,
+            rect_hi=hi,
+            keywords=tuple(keywords),
+            strategy="shed",
+            cache="bypass",
+            budget=budget,
+            reason=reason,
+        )
+        self._records.append(record)
+        return record
+
+    def batch(
+        self,
+        queries: Iterable[QuerySpec],
+        budget: Optional[int] = None,
+        counter: Optional[CostCounter] = None,
+    ) -> List[Tuple[KeywordObject, ...]]:
+        """Serve a sequence of ``(rect, keywords)`` queries in order.
+
+        The matching traces are the tail of :attr:`records`; pair them with
+        the returned result lists for per-query reporting.
+        """
+        return [
+            self.query(rect, keywords, budget=budget, counter=counter)
+            for rect, keywords in queries
+        ]
+
+    # -- observability -----------------------------------------------------------
+
+    @property
+    def records(self) -> List[QueryRecord]:
+        """The retained per-query traces, oldest first."""
+        return list(self._records)
+
+    @property
+    def last_record(self) -> Optional[QueryRecord]:
+        return self._records[-1] if self._records else None
+
+    @property
+    def cache(self) -> LRUCache:
+        return self._cache
+
+    @property
+    def events(self) -> Optional[EventLog]:
+        """The attached structured event log (``None`` when not wired)."""
+        return self._events
+
+    def attach_events(self, events: Optional[EventLog]) -> None:
+        """Attach (or detach with ``None``) a structured event log.
+
+        Lets a deployment wire one shared log through an engine that was
+        built — or unpickled — without one.
+        """
+        self._events = events
+
+    def stats(self) -> Dict[str, Any]:
+        """Lifetime engine statistics (JSON-safe)."""
+        return {
+            "queries": self._queries_served,
+            "strategies": dict(self._strategy_counts),
+            "fallbacks": self._fallback_count,
+            "degraded": self._degraded_count,
+            "cache": self._cache.stats(),
+            "cost": self.counter.snapshot(),
+            "dataset": {
+                "objects": self._corpus_size(),
+                "input_size": self.input_size,
+                "dim": self.dim,
+            },
+            "max_k": self.max_k,
+            "default_budget": self.default_budget,
+            "backend": self.backend,
+            "metrics": self.metrics.snapshot(),
+        }
+
+    def export_stats_json(self, indent: Optional[int] = 2) -> str:
+        return json.dumps(self.stats(), indent=indent, sort_keys=True)
+
+    def export_records_json(self) -> str:
+        """All retained traces as a JSON array (oldest first)."""
+        return json.dumps(
+            [record.to_dict() for record in self._records], sort_keys=True
+        )
+
+    @property
+    def dim(self) -> Optional[int]:
+        """Dimensionality of the served points (mirrors the index classes)."""
+        return self.dataset.dim
+
+
+class QueryEngine(ServingBookkeeping):
     """Budget-bounded, cached, observable serving layer.
 
     Parameters
@@ -139,7 +562,7 @@ class QueryEngine:
 
     def __init__(
         self,
-        dataset: Optional[Dataset],
+        dataset: Dataset,
         max_k: int = 4,
         default_budget: Optional[int] = None,
         cache_size: int = 128,
@@ -149,52 +572,18 @@ class QueryEngine:
         tracing: bool = False,
         metrics: Optional[MetricsRegistry] = None,
         backend: str = "cost_model",
-        dynamic_index=None,
         events: Optional[EventLog] = None,
     ):
         from ..fast import VectorizedBackend, validate_backend
-        from .cache import LRUCache
 
-        if default_budget is not None and default_budget < 1:
-            raise ValidationError(f"default_budget must be >= 1, got {default_budget}")
-        if keep_records < 1:
-            raise ValidationError(f"keep_records must be >= 1, got {keep_records}")
+        if dataset is None:
+            raise ValidationError("dataset is required")
+        self._init_bookkeeping(
+            default_budget, cache_size, keep_records, tracing, metrics, events
+        )
         self.backend = validate_backend(backend, allow_auto=True)
-        self._dynamic = dynamic_index
-        if dynamic_index is not None:
-            # Dynamic serving: the engine fronts a DynamicOrpKw — every
-            # query runs the "dynamic" strategy against the currently
-            # published epoch, and cache entries are keyed by epoch id so a
-            # publish can never serve a stale pre-write result.
-            if dataset is not None and dataset.objects:
-                raise ValidationError(
-                    "pass dataset=None when serving a dynamic_index "
-                    "(the engine reads the published epochs, not a static corpus)"
-                )
-            if backend != "cost_model":
-                raise ValidationError(
-                    "dynamic_index engines serve the instrumented dynamic "
-                    "path; backend must be 'cost_model'"
-                )
-            dataset = Dataset.empty(dynamic_index.dim)
-            max_k = dynamic_index.k
-        elif dataset is None:
-            raise ValidationError("dataset is required without a dynamic_index")
         self.dataset = dataset
         self.max_k = max_k
-        self.default_budget = default_budget
-        self.tracing = tracing
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._events = events
-        #: Per-(strategy, backend) running statistics — the planner feed.
-        self.stats_collector = StatsCollector()
-        self.counter = CostCounter()  # engine-lifetime aggregate
-        self._cache = LRUCache(cache_size)
-        self._records: Deque[QueryRecord] = deque(maxlen=keep_records)
-        self._queries_served = 0
-        self._strategy_counts: Dict[str, int] = {}
-        self._fallback_count = 0
-        self._degraded_count = 0
         # The numpy mirror used for vectorized keywords-only execution.
         # Built eagerly (it is cheap relative to the fused indexes below) so
         # the first query does not pay a hidden build cost.
@@ -234,29 +623,16 @@ class QueryEngine:
 
     def __getstate__(self) -> Dict[str, Any]:
         # The array mirror is derived state: rebuild after unpickling
-        # instead of bloating index files with numpy blocks.  The event log
-        # is a live operational attachment (often shared across engines):
-        # persisting it would duplicate the shared log per saved engine.
-        state = dict(self.__dict__)
+        # instead of bloating index files with numpy blocks.
+        state = super().__getstate__()
         state["_fast"] = None
-        state["_events"] = None
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Engines pickled before the trace layer existed lack these fields;
-        # default them so old index files keep serving (and stats()) cleanly.
-        self.__dict__.update(state)
-        self.__dict__.setdefault("tracing", False)
-        if self.__dict__.get("metrics") is None:
-            self.metrics = MetricsRegistry()
-        # Engines pickled before the vectorized backend / dynamic serving.
-        self.__dict__.setdefault("backend", "cost_model")
-        self.__dict__.setdefault("_dynamic", None)
-        self.__dict__.setdefault("_fast", None)
-        # Engines pickled before the telemetry subsystem.
-        self.__dict__.setdefault("_events", None)
-        if self.__dict__.get("stats_collector") is None:
-            self.stats_collector = StatsCollector()
+        # Engines pickled with the retired dynamic_index attachment.
+        state.pop("_dynamic", None)
+        super().__setstate__(state)
+        self._fast = None
         if self.backend != "cost_model" and self.dataset.objects:
             from ..fast import VectorizedBackend
 
@@ -266,10 +642,6 @@ class QueryEngine:
 
     def _plan(self, rect: Rect, words: Sequence[int]) -> Tuple[List[str], Dict[str, float]]:
         """Strategy chain (cheapest estimate first) plus the raw estimates."""
-        if self._dynamic is not None:
-            # Dynamic engines have exactly one strategy: the currently
-            # published epoch of the LSM-style index.
-            return ["dynamic"], {}
         k = len(words)
         if k >= 2:
             planner = self._planners[k]
@@ -328,8 +700,6 @@ class QueryEngine:
         counter: CostCounter,
         backend: str = "cost_model",
     ) -> List[KeywordObject]:
-        if strategy == "dynamic":
-            return self._dynamic.query(rect, words, counter)
         if strategy == "fused":
             return self._index.query(rect, words, counter)
         if strategy == "keywords_only":
@@ -360,71 +730,26 @@ class QueryEngine:
         ``tracer=None`` and the engine built with ``tracing=True``, the query
         owns a fresh tracer and attaches the finished tree to its record.
         """
-        rect = self._coerce_rect(rect)
-        words = sorted(set(validate_nonempty_keywords(keywords)))
-        if len(words) > self.max_k:
-            raise ValidationError(
-                f"{len(words)} distinct keywords exceed max_k={self.max_k}"
-            )
-        if self.dataset.dim is not None and rect.dim != self.dataset.dim:
-            raise ValidationError(
-                f"query rectangle is {rect.dim}-dimensional, "
-                f"data is {self.dataset.dim}-dimensional"
-            )
-        budget = budget if budget is not None else self.default_budget
-        caller = ensure_counter(counter)
-        self._queries_served += 1
-        query_id = self._queries_served
-        self.metrics.counter("queries_total").inc()
+        return self.serve(rect, keywords, budget, counter, tracer)[0]
 
-        owned = tracer is None and self.tracing
-        if owned:
-            tracer = Tracer("query", "engine", query_id=query_id)
-
-        # The epoch id pins a cache entry to the index version that produced
-        # it: a dynamic engine's publish bumps the id, so post-write queries
-        # can never be served a stale pre-write result.  Static engines are
-        # version 0 forever (same key shape, zero overhead).
-        epoch = self._dynamic.epoch.epoch_id if self._dynamic is not None else 0
-        key = (epoch, rect.lo, rect.hi, frozenset(words))
-        cached, hit = self._cache.lookup(key)
-        if hit:
-            record = QueryRecord(
-                query_id=query_id,
-                rect_lo=rect.lo,
-                rect_hi=rect.hi,
-                keywords=tuple(words),
-                strategy="cache",
-                cache="hit",
-                budget=budget,
-                result_count=len(cached),
-            )
-            if owned:
-                record.trace = tracer.finish().to_dict()
-            self._records.append(record)
-            self._strategy_counts["cache"] = self._strategy_counts.get("cache", 0) + 1
-            self.metrics.counter("cache_hits_total").inc()
-            self.metrics.counter("strategy_cache_total").inc()
-            if self._events is not None:
-                self._events.emit(
-                    "query_finish",
-                    query_id=query_id,
-                    strategy="cache",
-                    cache="hit",
-                    cost_total=0,
-                    result_count=len(cached),
-                    degraded=False,
-                )
-            return cached
-        self.metrics.counter("cache_misses_total").inc()
-
-        if self._index is None and not self._planners and self._dynamic is None:
+    def serve(
+        self,
+        rect: Union[Rect, Sequence[float]],
+        keywords: Sequence[int],
+        budget: Optional[int] = None,
+        counter: Optional[CostCounter] = None,
+        tracer: Optional[Tracer] = None,
+    ) -> Tuple[Tuple[KeywordObject, ...], QueryRecord]:
+        """:meth:`query`, also returning the query's own record."""
+        pending = self._begin(rect, keywords, budget, counter, tracer=tracer)
+        if pending.record is not None:
+            return pending.results, pending.record
+        if self._index is None:
             # Empty corpus: nothing can match; zero cost, honest trace.
-            return self._finish(
-                query_id, rect, words, (), "empty_dataset", [], {}, budget,
-                False, CostCounter(), caller, key, tracer, owned,
-            )
+            record = self._finish(pending, (), "empty_dataset", CostCounter())
+            return pending.results, record
 
+        rect, words, budget = pending.rect, pending.words, pending.budget
         order, estimates = self._plan(rect, words)
         backend = self._resolve_backend(estimates)
         spent = CostCounter()  # per-query accumulator, never budgeted
@@ -434,7 +759,7 @@ class QueryEngine:
         degraded = False
         for strategy in order:
             probe = CostCounter(budget=budget)
-            probe.tracer = tracer
+            probe.tracer = pending.tracer
             try:
                 with span_for(probe, strategy, "engine", budget=budget):
                     results = self._run_strategy(
@@ -453,7 +778,7 @@ class QueryEngine:
             # The rerun re-enters the strategy's keyed span, so its charges
             # accumulate there and the leaf-sum invariant still holds.
             probe = CostCounter()
-            probe.tracer = tracer
+            probe.tracer = pending.tracer
             with span_for(probe, order[0], "engine", degraded=True):
                 results = self._run_strategy(
                     order[0], rect, words, probe, backend=backend
@@ -461,173 +786,13 @@ class QueryEngine:
             spent.merge(probe)
             chosen = order[0]
             degraded = True
-        return self._finish(
-            query_id, rect, words, results, chosen, fallbacks,
-            estimates, budget, degraded, spent, caller, key, tracer, owned,
-            backend=backend,
+        record = self._finish(
+            pending, results, chosen, spent, fallbacks=fallbacks,
+            degraded=degraded, estimates=estimates, backend=backend,
         )
-
-    def _finish(
-        self, query_id, rect, words, results, chosen, fallbacks,
-        estimates, budget, degraded, spent, caller, key, tracer=None, owned=False,
-        backend="cost_model",
-    ) -> Tuple[KeywordObject, ...]:
-        # Record and cache before touching the caller's counter, and fold the
-        # spent units into it with absorb() (never merge()): a caller-supplied
-        # counter may carry its own budget, and the engine's contract is that
-        # BudgetExceeded never escapes query() — the trace and the cache entry
-        # must land even when the caller's budget is already blown.
-        results = tuple(results)
-        evicted = self._cache.put(key, results)
-        if evicted and self._events is not None:
-            self._events.emit(
-                "cache_evict", query_id=query_id, evicted=evicted,
-                size=len(self._cache), capacity=self._cache.capacity,
-            )
-        clean_estimates = {
-            name: float(value)
-            for name, value in estimates.items()
-            if isinstance(value, (int, float))
-        }
-        record = QueryRecord(
-            query_id=query_id,
-            rect_lo=rect.lo,
-            rect_hi=rect.hi,
-            keywords=tuple(words),
-            strategy=chosen,
-            cache="miss",
-            budget=budget,
-            backend=backend,
-            degraded=degraded,
-            fallbacks=fallbacks,
-            cost=spent.snapshot(),
-            estimates=clean_estimates,
-            result_count=len(results),
-        )
-        if owned and tracer is not None:
-            record.trace = tracer.finish().to_dict()
-        self._records.append(record)
-        self._strategy_counts[chosen] = self._strategy_counts.get(chosen, 0) + 1
-        self._fallback_count += len(fallbacks)
-        if degraded:
-            self._degraded_count += 1
-        self._observe_metrics(chosen, len(fallbacks), degraded, record.cost, len(results))
-        self.stats_collector.observe(
-            chosen,
-            backend,
-            record.cost.get("total", 0),
-            len(results),
-            corpus_size=len(self.dataset),
-        )
-        if self._events is not None:
-            if degraded:
-                self._events.emit(
-                    "query_degraded",
-                    query_id=query_id,
-                    strategy=chosen,
-                    fallbacks=len(fallbacks),
-                    budget=budget,
-                    cost_total=record.cost.get("total", 0),
-                )
-            self._events.emit(
-                "query_finish",
-                query_id=query_id,
-                strategy=chosen,
-                cache="miss",
-                cost_total=record.cost.get("total", 0),
-                result_count=len(results),
-                degraded=degraded,
-            )
-        self.counter.absorb(spent)
-        caller.absorb(spent)
-        return results
-
-    def _observe_metrics(
-        self,
-        strategy: str,
-        fallback_count: int,
-        degraded: bool,
-        cost: Dict[str, int],
-        result_count: int,
-    ) -> None:
-        """Feed the registry one executed (non-cache-hit) query's outcome."""
-        metrics = self.metrics
-        metrics.counter(f"strategy_{strategy}_total").inc()
-        if fallback_count:
-            metrics.counter("fallbacks_total").inc(fallback_count)
-            metrics.counter("budget_exhausted_total").inc()
-        if degraded:
-            metrics.counter("degraded_total").inc()
-        for category in CATEGORIES:
-            metrics.histogram(f"cost_{category}").observe(cost.get(category, 0))
-        metrics.histogram("cost_total").observe(cost.get("total", 0))
-        metrics.histogram("result_count").observe(result_count)
-
-    def batch(
-        self,
-        queries: Iterable[QuerySpec],
-        budget: Optional[int] = None,
-        counter: Optional[CostCounter] = None,
-    ) -> List[Tuple[KeywordObject, ...]]:
-        """Serve a sequence of ``(rect, keywords)`` queries in order.
-
-        The matching traces are the tail of :attr:`records`; pair them with
-        the returned result lists for per-query reporting.
-        """
-        return [
-            self.query(rect, keywords, budget=budget, counter=counter)
-            for rect, keywords in queries
-        ]
-
-    @staticmethod
-    def _coerce_rect(rect: Union[Rect, Sequence[float]]) -> Rect:
-        if isinstance(rect, Rect):
-            return rect
-        coords = [float(c) for c in rect]
-        for coord in coords:
-            # Rect itself allows infinite bounds (Rect.full), but a flat
-            # coordinate list comes from an external caller (CLI, JSONL
-            # workload) where a non-finite value is a data error: NaN makes
-            # containment tests silently inconsistent, inf silently turns a
-            # typo into an unbounded scan.
-            if not math.isfinite(coord):
-                raise ValidationError(
-                    f"flat rectangle has a non-finite coordinate ({coord})"
-                )
-        if len(coords) % 2 != 0:
-            raise ValidationError(
-                f"flat rectangle needs an even coordinate count, got {len(coords)}"
-            )
-        dim = len(coords) // 2
-        return Rect(coords[:dim], coords[dim:])
+        return pending.results, record
 
     # -- observability -----------------------------------------------------------
-
-    @property
-    def records(self) -> List[QueryRecord]:
-        """The retained per-query traces, oldest first."""
-        return list(self._records)
-
-    @property
-    def last_record(self) -> Optional[QueryRecord]:
-        return self._records[-1] if self._records else None
-
-    @property
-    def cache(self):
-        return self._cache
-
-    @property
-    def events(self) -> Optional[EventLog]:
-        """The attached structured event log (``None`` when not wired)."""
-        return self._events
-
-    def attach_events(self, events: Optional[EventLog]) -> None:
-        """Attach (or detach with ``None``) a structured event log.
-
-        Lets a deployment wire one shared log through an engine that was
-        built — or unpickled — without one.
-        """
-        self._events = events
 
     def planner_stats(self) -> Dict[str, Any]:
         """The stable per-(strategy, backend) statistics feed.
@@ -637,29 +802,6 @@ class QueryEngine:
         input a future adaptive planner (and any dashboard) reads.
         """
         return self.stats_collector.planner_stats()
-
-    def stats(self) -> Dict[str, Any]:
-        """Lifetime engine statistics (JSON-safe)."""
-        return {
-            "queries": self._queries_served,
-            "strategies": dict(self._strategy_counts),
-            "fallbacks": self._fallback_count,
-            "degraded": self._degraded_count,
-            "cache": self._cache.stats(),
-            "cost": self.counter.snapshot(),
-            "dataset": {
-                "objects": len(self.dataset),
-                "input_size": self.dataset.total_doc_size,
-                "dim": self.dataset.dim,
-            },
-            "max_k": self.max_k,
-            "default_budget": self.default_budget,
-            "backend": getattr(self, "backend", "cost_model"),
-            "dynamic_epoch": (
-                self._dynamic.epoch.epoch_id if self._dynamic is not None else None
-            ),
-            "metrics": self.metrics.snapshot(),
-        }
 
     def probe_structure(self, seed: int = 17) -> List[Dict[str, Any]]:
         """Run the structural health probes and mirror them into metrics.
@@ -678,20 +820,6 @@ class QueryEngine:
         register_all(reports, self.metrics)
         return [report.to_dict() for report in reports]
 
-    def export_stats_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.stats(), indent=indent, sort_keys=True)
-
-    def export_records_json(self) -> str:
-        """All retained traces as a JSON array (oldest first)."""
-        return json.dumps(
-            [record.to_dict() for record in self._records], sort_keys=True
-        )
-
-    @property
-    def dim(self) -> Optional[int]:
-        """Dimensionality of the served points (mirrors the index classes)."""
-        return self.dataset.dim
-
     @property
     def input_size(self) -> int:
         """``N`` (mirrors the index classes, for ``cli info``)."""
@@ -700,11 +828,7 @@ class QueryEngine:
     @property
     def space_units(self) -> int:
         """Stored entries across the fused indexes, baselines, and samples."""
-        units = 0
-        if self._index is not None:
-            units += self._index.space_units
-        if self._dynamic is not None:
-            units += self._dynamic.space_units
+        units = self._index.space_units if self._index is not None else 0
         for planner in self._planners.values():
             units += len(planner._sample)
         return units

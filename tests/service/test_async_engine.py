@@ -6,6 +6,7 @@ suite passes with or without the plugin installed.
 """
 
 import asyncio
+import random
 import threading
 
 import pytest
@@ -21,6 +22,7 @@ from repro.service import (
     QueryEngine,
     ShardedQueryEngine,
 )
+from repro.telemetry import EventLog
 from repro.trace import TraceSpan
 
 from helpers import random_dataset
@@ -87,20 +89,66 @@ class TestDifferentialPlain:
         assert got == expect  # tuples compare element-wise: byte-identical
 
 
+def _record_view(record):
+    """The record fields two front ends with one contract must agree on."""
+    return (
+        record.strategy,
+        record.cost,
+        record.degraded,
+        record.fallbacks,
+        record.shards,
+        record.result_count,
+    )
+
+
+def _mutate(engine, rnd):
+    """Inserts, deletes, a rebalance, then more of both: the served map has
+    delta buffers and tombstones on top of a rebalanced layout."""
+    oids = sorted(engine.epoch.live_oids())
+    for round_ in range(2):
+        for _ in range(15):
+            point = (rnd.uniform(0, 10), rnd.uniform(0, 10))
+            oids.append(engine.insert(point, set(rnd.sample(range(1, 9), 2))))
+        for oid in rnd.sample(oids, 8):
+            oids.remove(oid)
+            engine.delete(oid)
+        if round_ == 0:
+            engine.rebalance()
+
+
 class TestDifferentialSharded:
     def test_identical_to_sync_sharded_engine(self, rng):
+        """Same answers *and* same records as the synchronous engine — both
+        run one fan-out plan — across shard counts, budgets (none, tight,
+        loose) and a shard map after inserts, deletes and a rebalance."""
         dataset = random_dataset(rng, 300)
-        sync = ShardedQueryEngine(dataset, shards=4, cache_size=0)
-        wrapped = ShardedQueryEngine(dataset, shards=4, cache_size=0)
         workload = small_workload(rng)
+        for shards in (1, 4, 8):
+            sync = ShardedQueryEngine(dataset, shards=shards, cache_size=0)
+            wrapped = ShardedQueryEngine(dataset, shards=shards, cache_size=0)
+            for mutated in (False, True):
+                if mutated:
+                    for engine in (sync, wrapped):
+                        _mutate(engine, random.Random(shards))
+                for budget in (None, 12, 400):
+                    start = len(wrapped.records)
 
-        async def drive():
-            async with AsyncQueryEngine(wrapped) as engine:
-                return await engine.batch(workload, budget=400)
+                    async def drive():
+                        async with AsyncQueryEngine(wrapped) as engine:
+                            return await engine.batch(workload, budget=budget)
 
-        got = asyncio.run(drive())
-        expect = [sync.query(rect, words, budget=400) for rect, words in workload]
-        assert got == expect
+                    got = asyncio.run(drive())
+                    expect = [
+                        sync.query(rect, words, budget=budget)
+                        for rect, words in workload
+                    ]
+                    assert got == expect
+                    served = sorted(
+                        wrapped.records[start:], key=lambda r: r.query_id
+                    )
+                    assert [_record_view(r) for r in served] == [
+                        _record_view(r) for r in sync.records[start:]
+                    ], (shards, mutated, budget)
 
     def test_matches_unsharded_engine_result_sets(self, rng):
         dataset = random_dataset(rng, 300)
@@ -256,6 +304,51 @@ class TestShedding:
         assert gauges["inflight_queries"] == 0
 
 
+class TestPlainRecordOwnership:
+    def test_shed_between_finish_and_record_read(self, rng):
+        """A shed record appended after a served query's finish step, but
+        before its front end picks the record up, must not be reported to
+        the sampler in place of the served query's own record."""
+        wrapped = QueryEngine(random_dataset(rng, 150), cache_size=0)
+        offered = []
+        hook = {}
+
+        class Sampler:
+            def offer(self, record):
+                offered.append(record)
+                return True
+
+        class ShedDuringFinish(EventLog):
+            def emit(self, kind, **fields):
+                event = super().emit(kind, **fields)
+                if kind == "query_finish" and "loop" in hook:
+                    # On the worker thread, right after the engine appended
+                    # the served record: shed a query on the loop thread
+                    # (the first query still holds the admission capacity)
+                    # and wait until its shed record is in the same deque.
+                    loop = hook.pop("loop")
+                    shed = asyncio.run_coroutine_threadsafe(
+                        hook["front"].query(Rect.full(2), [1, 2], budget=60), loop
+                    )
+                    with pytest.raises(BudgetExceeded):
+                        shed.result(timeout=30)
+                return event
+
+        async def drive():
+            async with AsyncQueryEngine(
+                wrapped, max_inflight_cost=100, events=ShedDuringFinish(),
+                sampler=Sampler(),
+            ) as front:
+                hook.update(front=front, loop=asyncio.get_running_loop())
+                return await front.query(Rect.full(2), [1, 2], budget=60)
+
+        results = asyncio.run(drive())
+        served, shed = wrapped.records
+        assert shed.strategy == "shed"
+        assert served.strategy != "shed" and served.result_count == len(results)
+        assert offered == [shed, served]
+
+
 class TestSetstateCompat:
     def test_old_pickles_regrow_shard_bounds(self, rng):
         # Engines pickled before the copy-on-write shard map existed carried
@@ -329,9 +422,7 @@ def _run_threaded_stress(readers=4, steps=60):
     oracle; readers pin snapshots and assert their full-rectangle answers
     equal the oracle set for the pinned epoch — exactly, every time.
     """
-    import random as random_module
-
-    rng = random_module.Random(0xA5)
+    rng = random.Random(0xA5)
     index = DynamicOrpKw(k=2, dim=2)
     oracle = {0: frozenset()}
     live = set()

@@ -132,6 +132,31 @@ class TestRebalance:
         assert engine.epoch.epoch_id == state.epoch_id + 1
 
 
+    def test_input_size_and_stats_follow_the_published_map(self, rng):
+        """N and ``stats()["dataset"]`` describe the live objects after
+        inserts, deletes and rebalances, not the build-time dataset."""
+        engine = _clustered_engine(rng)
+        docs = {obj.oid: obj.doc for obj in engine.dataset.objects}
+
+        def assert_live():
+            live = engine.epoch.live_oids()
+            assert engine.input_size == sum(len(docs[oid]) for oid in live)
+            dataset = engine.stats()["dataset"]
+            assert dataset["objects"] == len(engine) == len(live)
+            assert dataset["input_size"] == engine.input_size
+
+        for i in range(12):
+            doc = {1 + i % 8, 1 + (i * 3) % 8}
+            docs[engine.insert((rng.random(), rng.random()), doc)] = doc
+        assert_live()
+        for oid in sorted(docs)[:20]:
+            engine.delete(oid)
+        assert_live()
+        engine.rebalance(shards=3)
+        assert_live()
+        assert engine.input_size < engine.dataset.total_doc_size
+
+
 class TestSnapshotCutover:
     def test_pinned_snapshot_survives_rebalance_cutover(self, rng):
         """A reader pinned before the cutover keeps answering from the old

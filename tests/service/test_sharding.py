@@ -98,17 +98,20 @@ class TestShardedServing:
         engine.query(Rect.full(2), [1, 2])
         assert engine.last_record.cache == "hit"
 
-    def test_unused_budget_redistributes_to_stragglers(self, rng):
-        """Later shards' shares grow when earlier shards underspend."""
+    def test_budget_split_upfront_over_intersecting_shards(self, rng):
+        """A sliver rectangle runs only the shards it meets, and they share
+        the whole budget exactly; the others are pruned at zero cost."""
         ds = random_dataset(rng, 200)
         engine = ShardedQueryEngine(ds, shards=4, max_k=2, cache_size=0)
-        # A sliver rectangle: most shards are cheap misses, so the pool
-        # carries their unused units forward.
         engine.query(Rect((9.5, 9.5), (10.0, 10.0)), [1, 2], budget=100)
         slices = engine.last_record.shards
-        base = 100 // 4
-        assert slices[0]["budget"] == base
-        assert any(s["budget"] > base for s in slices[1:])
+        ran = [s for s in slices if s["strategy"] != "pruned"]
+        assert 0 < len(ran) < 4
+        assert sum(s["budget"] for s in ran) == 100
+        assert max(s["budget"] for s in ran) - min(s["budget"] for s in ran) <= 1
+        assert all(
+            s["budget"] == s["cost"] == 0 for s in slices if s["strategy"] == "pruned"
+        )
 
     def test_degradation_stays_per_slice(self, rng):
         """A starved fan-out degrades shard slices, not strategies globally;
