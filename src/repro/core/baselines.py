@@ -37,8 +37,10 @@ class StructuredOnlyIndex:
         self.dataset = dataset
         # A kd-tree needs at least one point; an empty dataset simply has no
         # tree and every query reports nothing (after the usual validation).
+        # The tree is split in full here, so no query (possibly from several
+        # serving threads at once) pays for a split.
         self._tree = (
-            KdTree([obj.point for obj in dataset.objects], leaf_size=leaf_size)
+            KdTree([obj.point for obj in dataset.objects], leaf_size=leaf_size).expand()
             if dataset.objects
             else None
         )

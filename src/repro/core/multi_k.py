@@ -8,8 +8,11 @@ deployed system, however, receives queries with one, two, or five keywords.
 the posting list *is* optimal: the list is exactly the answer candidate
 set), and per-query routing.
 
-Space: ``O(N * (max_k - 1))`` — a constant blow-up for constant ``max_k``,
-which matches the paper's standing assumption that ``k = O(1)``.
+The per-``k`` indexes share one rank-space map and one kd-tree
+(:class:`~repro.core.orp_kw.RankSubstrate`); only the keyword transforms
+are per ``k``.  Space: ``O(N * (max_k - 1))`` — a constant blow-up for
+constant ``max_k``, which matches the paper's standing assumption that
+``k = O(1)``.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from ..dataset import Dataset, KeywordObject
 from ..errors import ValidationError
 from ..geometry.rectangles import Rect
 from ..ksi.inverted import InvertedIndex
-from .orp_kw import OrpKwIndex
+from .orp_kw import OrpKwIndex, RankSubstrate
 
 
 class MultiKOrpIndex:
@@ -33,8 +36,12 @@ class MultiKOrpIndex:
         self.dataset = dataset
         self.max_k = max_k
         self._inverted = InvertedIndex(dataset)
+        # Every per-k index shares one rank map and one kd-tree: only the
+        # keyword transform depends on k.
+        substrate = RankSubstrate(dataset) if max_k >= 2 else None
         self._by_k: Dict[int, OrpKwIndex] = {
-            k: OrpKwIndex(dataset, k=k) for k in range(2, max_k + 1)
+            k: OrpKwIndex._on_substrate(dataset, k, substrate)
+            for k in range(2, max_k + 1)
         }
 
     def query(

@@ -33,42 +33,69 @@ from ..kdtree import KdTree
 from .transform import KeywordTransform, QueryStats, verbose_points
 
 
+class RankSubstrate:
+    """Steps 4 and 1 of the construction, which do not depend on ``k``.
+
+    The rank-space map, the dataset in rank coordinates, and the kd-tree
+    over its verbose set.  :class:`~repro.core.multi_k.MultiKOrpIndex`
+    builds one and shares it across its per-``k`` indexes; the tree splits
+    lazily, so it grows only as deep as the deepest transform reads it.
+    """
+
+    def __init__(self, dataset: Dataset):
+        # Rank space first: gives every object distinct integer coordinates
+        # on every axis, i.e. general position for free.
+        self.rank_map = RankSpaceMap([obj.point for obj in dataset.objects])
+        self.rank_objects: List[KeywordObject] = [
+            KeywordObject(
+                oid=i,
+                point=tuple(float(c) for c in self.rank_map.to_rank_point(i)),
+                doc=obj.doc,
+            )
+            for i, obj in enumerate(dataset.objects)
+        ]
+        self.originals: List[KeywordObject] = list(dataset.objects)
+        # The kd-tree on the verbose set, with a root cell strictly
+        # enclosing all rank coordinates (so no data point lies on the root
+        # boundary, mirroring the paper's root cell R^d).
+        count = len(self.rank_objects)
+        root_cell = Rect((-1.0,) * dataset.dim, (float(count),) * dataset.dim)
+        self.tree = KdTree(
+            verbose_points(self.rank_objects), leaf_size=1, root_cell=root_cell
+        )
+
+
 class OrpKwIndex:
     """The Theorem-1 index for orthogonal range reporting with keywords."""
 
     def __init__(self, dataset: Dataset, k: int, threshold_scale: float = 1.0):
         if k < 2:
             raise ValidationError(f"k must be >= 2, got {k}")
+        self._attach(dataset, k, threshold_scale, RankSubstrate(dataset))
+
+    @classmethod
+    def _on_substrate(cls, dataset: Dataset, k: int, substrate: RankSubstrate):
+        """An index for ``k >= 2`` over an existing ``substrate`` of ``dataset``."""
+        index = cls.__new__(cls)
+        index._attach(dataset, k, 1.0, substrate)
+        return index
+
+    def _attach(
+        self,
+        dataset: Dataset,
+        k: int,
+        threshold_scale: float,
+        substrate: RankSubstrate,
+    ) -> None:
         self.dataset = dataset
         self.k = k
         self.dim = dataset.dim
-
-        # Step 4 first (rank space): gives every object distinct integer
-        # coordinates on every axis, i.e. general position for free.
-        self._rank_map = RankSpaceMap([obj.point for obj in dataset.objects])
-        self._rank_objects: List[KeywordObject] = [
-            KeywordObject(
-                oid=i,
-                point=tuple(float(c) for c in self._rank_map.to_rank_point(i)),
-                doc=obj.doc,
-            )
-            for i, obj in enumerate(dataset.objects)
-        ]
-        self._originals: List[KeywordObject] = list(dataset.objects)
-
-        # Step 1: kd-tree on the verbose set, with a root cell strictly
-        # enclosing all rank coordinates (so no data point lies on the root
-        # boundary, mirroring the paper's root cell R^d).
-        count = len(self._rank_objects)
-        root_cell = Rect((-1.0,) * self.dim, (float(count),) * self.dim)
-        tree = KdTree(
-            verbose_points(self._rank_objects), leaf_size=1, root_cell=root_cell
-        )
-
+        self._rank_map = substrate.rank_map
+        self._originals = substrate.originals
         # Steps 2 + 3 live in the generic transform.
         self._transform = KeywordTransform(
-            self._rank_objects, tree, k, threshold_scale=threshold_scale,
-            component="orp_kw",
+            substrate.rank_objects, substrate.tree, k,
+            threshold_scale=threshold_scale, component="orp_kw",
         )
 
     # -- queries ---------------------------------------------------------------------

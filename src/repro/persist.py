@@ -23,7 +23,7 @@ from .errors import ValidationError
 
 #: File format magic + version. Bump the version on layout changes.
 MAGIC = "repro-index"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_index(index, path) -> None:
@@ -57,7 +57,10 @@ def load_index(path, expected_class: Optional[Union[Type, Tuple[Type, ...]]] = N
     try:
         envelope = pickle.loads(raw)
     except Exception as exc:
-        raise ValidationError(f"not a repro index file: {path}") from exc
+        raise ValidationError(
+            f"not a repro index file, or one in an older format "
+            f"(this library reads format {FORMAT_VERSION}): {path}"
+        ) from exc
     if not isinstance(envelope, dict) or envelope.get("magic") != MAGIC:
         raise ValidationError(f"not a repro index file: {path}")
     if envelope.get("format") != FORMAT_VERSION:

@@ -10,6 +10,7 @@ from repro.errors import ValidationError
 from repro.geometry.halfspaces import HalfSpace
 from repro.geometry.rectangles import Rect
 from repro.persist import FORMAT_VERSION, load_index, save_index
+from repro.service.engine import QueryEngine
 
 from helpers import random_dataset
 
@@ -38,6 +39,21 @@ class TestRoundTrip:
         assert sorted(o.oid for o in loaded.query([h], [1, 2])) == sorted(
             o.oid for o in index.query([h], [1, 2])
         )
+
+    def test_engine_round_trip_answers_and_costs(self, rng, tmp_path):
+        engine = QueryEngine(random_dataset(rng, 300), max_k=4, cache_size=0)
+        path = tmp_path / "engine.idx"
+        save_index(engine, path)
+        loaded = load_index(path, expected_class=QueryEngine)
+        for i in range(40):
+            lo = (rng.uniform(0, 6), rng.uniform(0, 6))
+            rect = Rect(lo, (lo[0] + rng.uniform(1, 4), lo[1] + rng.uniform(1, 4)))
+            words = rng.sample(range(1, 9), 1 + i % 4)
+            budget = (None, 40, 400)[i % 3]
+            want, want_record = engine.serve(rect, words, budget=budget)
+            got, got_record = loaded.serve(rect, words, budget=budget)
+            assert [o.oid for o in got] == [o.oid for o in want]
+            assert got_record.to_dict() == want_record.to_dict()
 
     def test_expected_class_enforced(self, rng, tmp_path):
         ds = random_dataset(rng, 20)
@@ -74,6 +90,27 @@ class TestEnvelopeValidation:
         path = tmp_path / "future.idx"
         path.write_bytes(pickle.dumps(envelope))
         with pytest.raises(ValidationError):
+            load_index(path)
+
+    def test_format_1_kd_node_rejected(self, tmp_path):
+        # Format 1 pickled each kd node with its split attributes as slots;
+        # they are computed on first read now and cannot be set.
+        from repro.kdtree import KdNode
+
+        class Format1Node:
+            def __reduce__(self):
+                return (object.__new__, (KdNode,), (None, {"axis": 0, "children": []}))
+
+        envelope = {
+            "magic": "repro-index",
+            "format": 1,
+            "library_version": "0.0.0",
+            "index_class": "KdTree",
+            "index": Format1Node(),
+        }
+        path = tmp_path / "format1.idx"
+        path.write_bytes(pickle.dumps(envelope))
+        with pytest.raises(ValidationError, match="older format"):
             load_index(path)
 
     def test_missing_file_raises(self, tmp_path):
