@@ -9,7 +9,7 @@ index, and the amortized insertion cost in objects-rebuilt per insertion.
 import math
 import random
 
-from repro.core.dynamic import DynamicOrpKw
+from repro.core.dynamize import DynamicOrpKw
 from repro.core.dynamize import (
     DynamicKeywordsOnly,
     DynamicLcKw,

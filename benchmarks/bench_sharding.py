@@ -28,7 +28,7 @@ from repro.service import ShardedQueryEngine
 
 from bench_engine import _zipf_workload
 from common import standard_dataset, summarize_sweep
-from repro.bench.reporting import format_table
+from repro.reporting import format_table
 
 SHARD_COUNTS = (1, 2, 4, 8)
 BUDGETS = (None, 2048, 512, 128, 32)

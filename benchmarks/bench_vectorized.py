@@ -33,7 +33,7 @@ from repro.core.baselines import KeywordsOnlyIndex
 from repro.geometry.rectangles import Rect
 
 from common import record, standard_dataset
-from repro.bench.reporting import format_table
+from repro.reporting import format_table
 
 SWEEP_OBJECTS = (2000, 8000, 32000, 64000)
 NUM_QUERIES = 40

@@ -14,8 +14,9 @@ import math
 import pathlib
 from typing import Dict, List, Sequence
 
+from repro.audit.fit import fit_exponent
 from repro.audit.sweeps import measure_query as _measure_query
-from repro.bench.reporting import format_table
+from repro.reporting import format_table
 from repro.dataset import Dataset
 from repro.trace import MetricsRegistry
 from repro.workloads.generators import (
@@ -122,9 +123,8 @@ def theory_bound(n: int, k: int, out: int, log_factor: bool = False) -> float:
 
 
 def slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    from repro.bench.harness import fit_loglog_slope
-
-    return fit_loglog_slope(xs, ys)
+    """Least-squares log-log slope (the audit fitter, without the bootstrap)."""
+    return fit_exponent(xs, ys, resamples=0).slope
 
 
 def summarize_sweep(

@@ -13,7 +13,7 @@ Run with:  python examples/geo_regions.py
 import random
 
 from repro import CostCounter, Dataset, Rect, RectangleObject
-from repro.bench.reporting import print_table
+from repro.reporting import print_table
 from repro.core.baselines import NaiveRectangleIndex
 from repro.core.orp_kw import OrpKwIndex
 from repro.core.rr_kw import RrKwIndex

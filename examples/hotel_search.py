@@ -13,7 +13,7 @@ Run with:  python examples/hotel_search.py
 """
 
 from repro import CostCounter, LcKwIndex, LinfNnIndex, OrpKwIndex
-from repro.bench.reporting import print_table
+from repro.reporting import print_table
 from repro.core.baselines import KeywordsOnlyIndex, StructuredOnlyIndex
 from repro.workloads.scenarios import (
     condition_c1,

@@ -12,7 +12,7 @@ Run with:  python examples/set_intersection.py
 """
 
 from repro import CostCounter
-from repro.bench.reporting import print_table
+from repro.reporting import print_table
 from repro.ksi import KSetIndex, NaiveKSI
 from repro.ksi.ksi_index import OrpBackedKsi
 from repro.workloads.generators import adversarial_ksi_sets

@@ -15,7 +15,7 @@ Run with:  python examples/temporal_search.py
 import random
 
 from repro import CostCounter, RectangleObject
-from repro.bench.reporting import print_table
+from repro.reporting import print_table
 from repro.core.baselines import NaiveRectangleIndex
 from repro.core.rr_kw import RrKwIndex
 

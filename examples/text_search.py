@@ -11,7 +11,7 @@ Run with:  python examples/text_search.py
 import random
 
 from repro import CostCounter, Rect
-from repro.bench.reporting import print_table
+from repro.reporting import print_table
 from repro.core.planner import HybridPlanner
 from repro.text import dataset_from_texts
 

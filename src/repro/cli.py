@@ -29,12 +29,10 @@ accepts orp, engine, and sharded indexes.
 
 ``serve`` pushes the same workload through the asyncio front end —
 concurrent per-shard fan-out with admission control (queries above the
-in-flight cost bound are shed, not queued) — and ``bench-serve`` runs the
-S3 async-serving benchmark:
+in-flight cost bound are shed, not queued):
 
     python -m repro.cli serve engine.bin --queries q.jsonl --budget 64 \
         --max-inflight-cost 512 --concurrency 4
-    python -m repro.cli bench-serve --quick
 
 Telemetry commands read a saved engine's instruments (``batch --save``
 persists them with the index):
@@ -72,12 +70,20 @@ from .costmodel import CostCounter
 from .dataset import Dataset, RectangleObject, make_objects
 from .errors import ReproError, ValidationError
 from .geometry.rectangles import Rect
+from .core.dynamize import (
+    DynamicKeywordsOnly,
+    DynamicLcKw,
+    DynamicMultiKOrp,
+    DynamicOrpKw,
+    DynamicSrpKw,
+)
 from .core.lc_kw import LcKwIndex
 from .core.nn_linf import LinfNnIndex
 from .core.orp_kw import OrpKwIndex
 from .core.rr_kw import RrKwIndex
 from .core.srp_kw import SrpKwIndex
 from .persist import load_index, save_index
+from .reporting import format_table
 from .service import QueryEngine, ShardedQueryEngine
 from .trace import TraceSpan, Tracer
 
@@ -96,63 +102,106 @@ INDEX_KINDS = {
 #: Index classes the serving commands (`batch`, `stats`) accept.
 ENGINE_KINDS = (QueryEngine, ShardedQueryEngine)
 
+#: --kind values `build --dynamic` accepts: (k, dim) -> empty dynamized index.
+DYNAMIC_KINDS = {
+    "keywords": lambda k, dim: DynamicKeywordsOnly(dim=dim),
+    "lc": lambda k, dim: DynamicLcKw(k=k, dim=dim),
+    "multi": lambda k, dim: DynamicMultiKOrp(dim=dim, max_k=k),
+    "orp": lambda k, dim: DynamicOrpKw(k=k, dim=dim),
+    "srp": lambda k, dim: DynamicSrpKw(k=k, dim=dim),
+}
 
-def load_jsonl_dataset(path: str) -> Dataset:
-    """Read a JSONL dataset (see module docstring for the record format)."""
-    points: List[List[float]] = []
-    docs: List[List[int]] = []
+
+def _read_jsonl(path: str, what: str, parse, empty: str = "records") -> list:
+    """``parse(record, position)`` for every non-blank line of a JSONL file.
+
+    A malformed line fails with its line number; a file without a single
+    record fails too.
+    """
+    items: list = []
     with open(path) as handle:
         for line_number, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                points.append([float(c) for c in record["point"]])
-                docs.append([int(w) for w in record["doc"]])
+                items.append(parse(json.loads(line), len(items)))
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValidationError(
-                    f"{path}:{line_number}: bad record ({exc})"
+                    f"{path}:{line_number}: bad {what} ({exc})"
                 ) from exc
-    if not points:
-        raise ValidationError(f"{path}: no records")
+    if not items:
+        raise ValidationError(f"{path}: no {empty}")
+    return items
+
+
+def load_jsonl_dataset(path: str) -> Dataset:
+    """Read a JSONL dataset (see module docstring for the record format)."""
+    points, docs = zip(
+        *_read_jsonl(
+            path,
+            "record",
+            lambda record, _: (
+                [float(c) for c in record["point"]],
+                [int(w) for w in record["doc"]],
+            ),
+        )
+    )
     return Dataset(make_objects(points, docs))
 
 
-def _emit(objects, counter: CostCounter) -> None:
+def load_jsonl_rectangles(path: str) -> List[RectangleObject]:
+    """Read a JSONL rectangle dataset: ``{"lo": [...], "hi": [...], "doc": [...]}``."""
+    return _read_jsonl(
+        path,
+        "rectangle record",
+        lambda record, oid: RectangleObject(
+            oid=oid,
+            lo=tuple(float(c) for c in record["lo"]),
+            hi=tuple(float(c) for c in record["hi"]),
+            doc=frozenset(int(w) for w in record["doc"]),
+        ),
+    )
+
+
+def load_jsonl_queries(path: str):
+    """Read a JSONL query workload: ``{"rect": [lo..., hi...], "keywords": [...]}``."""
+    return _read_jsonl(
+        path,
+        "query record",
+        lambda record, _: (
+            [float(c) for c in record["rect"]],
+            [int(w) for w in record["keywords"]],
+        ),
+        empty="queries",
+    )
+
+
+def _print_matches(objects) -> None:
+    """One JSON line per reported point or rectangle object."""
     for obj in objects:
-        print(json.dumps({"oid": obj.oid, "point": list(obj.point), "doc": sorted(obj.doc)}))
+        if isinstance(obj, RectangleObject):
+            fields = {"oid": obj.oid, "lo": list(obj.lo), "hi": list(obj.hi)}
+        else:
+            fields = {"oid": obj.oid, "point": list(obj.point)}
+        print(json.dumps({**fields, "doc": sorted(obj.doc)}))
+
+
+def _emit(objects, counter: CostCounter) -> None:
+    _print_matches(objects)
     print(
         f"# {len(objects)} match(es), {counter.total} cost units",
         file=sys.stderr,
     )
 
 
-def load_jsonl_rectangles(path: str) -> List[RectangleObject]:
-    """Read a JSONL rectangle dataset: ``{"lo": [...], "hi": [...], "doc": [...]}``."""
-    rectangles: List[RectangleObject] = []
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                rectangles.append(
-                    RectangleObject(
-                        oid=len(rectangles),
-                        lo=tuple(float(c) for c in record["lo"]),
-                        hi=tuple(float(c) for c in record["hi"]),
-                        doc=frozenset(int(w) for w in record["doc"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"{path}:{line_number}: bad rectangle record ({exc})"
-                ) from exc
-    if not rectangles:
-        raise ValidationError(f"{path}: no records")
-    return rectangles
+def _load_engine(args: argparse.Namespace):
+    """The saved ``QueryEngine``/``ShardedQueryEngine`` named by ``args.index``."""
+    return load_index(args.index, expected_class=ENGINE_KINDS)
+
+
+def _queries(count: int) -> str:
+    return f"{count} quer{'y' if count == 1 else 'ies'}"
 
 
 def _build_dynamic_index(kind: str, dataset: Dataset, k: int):
@@ -162,30 +211,12 @@ def _build_dynamic_index(kind: str, dataset: Dataset, k: int):
     published epoch), so the saved index supports further inserts and
     deletes after ``load_index`` — the point of ``build --dynamic``.
     """
-    from .core.dynamic import DynamicOrpKw
-    from .core.dynamize import (
-        DynamicKeywordsOnly,
-        DynamicLcKw,
-        DynamicMultiKOrp,
-        DynamicSrpKw,
-    )
-
-    dim = dataset.dim
-    if kind == "orp":
-        index = DynamicOrpKw(k=k, dim=dim)
-    elif kind == "lc":
-        index = DynamicLcKw(k=k, dim=dim)
-    elif kind == "srp":
-        index = DynamicSrpKw(k=k, dim=dim)
-    elif kind == "keywords":
-        index = DynamicKeywordsOnly(dim=dim)
-    elif kind == "multi":
-        index = DynamicMultiKOrp(dim=dim, max_k=k)
-    else:
+    if kind not in DYNAMIC_KINDS:
         raise ValidationError(
             f"--dynamic is not supported for --kind {kind}; "
-            "dynamizable kinds: keywords, lc, multi, orp, srp"
+            f"dynamizable kinds: {', '.join(sorted(DYNAMIC_KINDS))}"
         )
+    index = DYNAMIC_KINDS[kind](k, dataset.dim)
     index.insert_many(
         [obj.point for obj in dataset.objects],
         [obj.doc for obj in dataset.objects],
@@ -194,100 +225,49 @@ def _build_dynamic_index(kind: str, dataset: Dataset, k: int):
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    if args.dynamic:
-        dataset = load_jsonl_dataset(args.dataset)
-        index = _build_dynamic_index(args.kind, dataset, args.k)
-        save_index(index, args.index)
-        print(
-            f"# built {type(index).__name__} over {len(dataset)} objects "
-            f"(N={dataset.total_doc_size}), saved to {args.index}",
-            file=sys.stderr,
-        )
-        return 0
-    if args.kind in ("keywords", "multi"):
+    if args.kind not in INDEX_KINDS and not args.dynamic:
         raise ValidationError(f"--kind {args.kind} requires --dynamic")
-    index_cls = INDEX_KINDS[args.kind]
-    if args.kind == "rr":
+    if args.kind == "rr" and not args.dynamic:
         rectangles = load_jsonl_rectangles(args.dataset)
-        index = index_cls(rectangles, k=args.k)
+        index = RrKwIndex(rectangles, k=args.k)
         described = f"{len(rectangles)} rectangles (N={index.input_size})"
-    elif args.kind == "engine":
-        dataset = load_jsonl_dataset(args.dataset)
-        index = QueryEngine(
-            dataset,
-            max_k=args.k,
-            default_budget=args.budget,
-            backend=args.backend,
-        )
-        described = f"{len(dataset)} objects (N={dataset.total_doc_size})"
-    elif args.kind == "sharded":
-        dataset = load_jsonl_dataset(args.dataset)
-        index = ShardedQueryEngine(
-            dataset,
-            shards=args.shards,
-            max_k=args.k,
-            default_budget=args.budget,
-            backend=args.backend,
-        )
-        described = (
-            f"{len(dataset)} objects (N={dataset.total_doc_size}) "
-            f"across {args.shards} shard(s)"
-        )
     else:
         dataset = load_jsonl_dataset(args.dataset)
-        index = index_cls(dataset, k=args.k)
         described = f"{len(dataset)} objects (N={dataset.total_doc_size})"
+        if args.dynamic:
+            index = _build_dynamic_index(args.kind, dataset, args.k)
+        elif args.kind in ("engine", "sharded"):
+            options = {"max_k": args.k, "default_budget": args.budget, "backend": args.backend}
+            if args.kind == "sharded":
+                options["shards"] = args.shards
+                described += f" across {args.shards} shard(s)"
+            index = INDEX_KINDS[args.kind](dataset, **options)
+        else:
+            index = INDEX_KINDS[args.kind](dataset, k=args.k)
     save_index(index, args.index)
     print(
-        f"# built {index_cls.__name__} over {described}, saved to {args.index}",
+        f"# built {type(index).__name__} over {described}, saved to {args.index}",
         file=sys.stderr,
     )
     return 0
 
 
-def load_jsonl_queries(path: str):
-    """Read a JSONL query workload: ``{"rect": [lo..., hi...], "keywords": [...]}``."""
-    queries = []
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                coords = [float(c) for c in record["rect"]]
-                keywords = [int(w) for w in record["keywords"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(
-                    f"{path}:{line_number}: bad query record ({exc})"
-                ) from exc
-            queries.append((coords, keywords))
-    if not queries:
-        raise ValidationError(f"{path}: no queries")
-    return queries
-
-
 def cmd_batch(args: argparse.Namespace) -> int:
-    engine = load_index(args.index, expected_class=ENGINE_KINDS)
+    engine = _load_engine(args)
     queries = load_jsonl_queries(args.queries)
     results = engine.batch(queries, budget=args.budget)
     traces = engine.records[-len(queries):]
     for found, record in zip(results, traces):
         print(record.to_json())
         if args.results:
-            for obj in found:
-                print(
-                    json.dumps(
-                        {"oid": obj.oid, "point": list(obj.point), "doc": sorted(obj.doc)}
-                    )
-                )
+            _print_matches(found)
     if args.save:
         save_index(engine, args.index)
     cache = engine.cache.stats()
     fallbacks = sum(len(record.fallbacks) for record in traces)
     degraded = sum(1 for record in traces if record.degraded)
     print(
-        f"# {len(queries)} quer{'y' if len(queries) == 1 else 'ies'}, "
+        f"# {_queries(len(queries))}, "
         f"{cache['hits']} cache hit(s), {fallbacks} fallback(s), "
         f"{degraded} degraded, {engine.counter.total} lifetime cost units",
         file=sys.stderr,
@@ -339,7 +319,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .service import AsyncQueryEngine
 
-    engine = load_index(args.index, expected_class=ENGINE_KINDS)
+    engine = _load_engine(args)
     queries = load_jsonl_queries(args.queries)
     telemetry_kwargs = {}
     slo = _build_slo_monitor(args)
@@ -376,15 +356,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         served += 1
         print(json.dumps({"query": i, "shed": False, "result_count": len(found)}))
         if args.results:
-            for obj in found:
-                print(
-                    json.dumps(
-                        {"oid": obj.oid, "point": list(obj.point), "doc": sorted(obj.doc)}
-                    )
-                )
+            _print_matches(found)
     stats = front.stats()
     print(
-        f"# {len(queries)} quer{'y' if len(queries) == 1 else 'ies'}, "
+        f"# {_queries(len(queries))}, "
         f"{served} served, {stats['shed']} shed, "
         f"{engine.counter.total} lifetime cost units",
         file=sys.stderr,
@@ -392,39 +367,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    """Run the async-serving benchmark (S3) and print its tables."""
-    from .bench.reporting import format_table
-    from .bench.serving import run_serving_bench
-
-    rows, mixed = run_serving_bench(quick=args.quick)
-    suffix = " [quick]" if args.quick else ""
-    print(
-        format_table(
-            rows,
-            columns=[
-                "shards", "budget", "queries", "seq_ms", "conc_ms",
-                "speedup", "pruned_pct",
-            ],
-            title="S3: sequential vs concurrent fan-out (wall-clock)" + suffix,
-        )
-    )
-    print()
-    print(
-        format_table(
-            [mixed],
-            columns=[
-                "readers", "writes", "reads", "epochs", "live_objects",
-                "elapsed_ms", "violations",
-            ],
-            title="S3: mixed read/write churn under snapshot isolation" + suffix,
-        )
-    )
-    return 0
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
-    engine = load_index(args.index, expected_class=ENGINE_KINDS)
+    engine = _load_engine(args)
     print(engine.export_stats_json())
     return 0
 
@@ -433,7 +377,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     """Print a saved engine's metrics registry as OpenMetrics text."""
     from .telemetry import render_openmetrics
 
-    engine = load_index(args.index, expected_class=ENGINE_KINDS)
+    engine = _load_engine(args)
     sys.stdout.write(render_openmetrics(engine.metrics, namespace=args.namespace))
     return 0
 
@@ -442,7 +386,7 @@ def cmd_events(args: argparse.Namespace) -> int:
     """Replay a workload with an event log attached; print events as JSONL."""
     from .telemetry import EventLog
 
-    engine = load_index(args.index, expected_class=ENGINE_KINDS)
+    engine = _load_engine(args)
     queries = load_jsonl_queries(args.queries)
     events = EventLog(capacity=args.capacity)
     engine.attach_events(events)
@@ -463,18 +407,12 @@ def cmd_top(args: argparse.Namespace) -> int:
     """Quantile summaries + planner statistics for a saved engine."""
     from .telemetry import quantile_rows
 
-    engine = load_index(args.index, expected_class=ENGINE_KINDS)
+    engine = _load_engine(args)
     histogram_rows = quantile_rows(engine.metrics)
     planner = engine.planner_stats()
     if args.format == "json":
-        print(
-            json.dumps(
-                {"histograms": histogram_rows, "planner": planner}, sort_keys=True
-            )
-        )
+        print(json.dumps({"histograms": histogram_rows, "planner": planner}, sort_keys=True))
         return 0
-    from .bench.reporting import format_table
-
     print(
         format_table(
             histogram_rows,
@@ -497,10 +435,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     print(
         format_table(
             planner_rows,
-            columns=[
-                "strategy", "backend", "queries",
-                "cost_mean", "cost_max", "results_mean",
-            ],
+            columns=["strategy", "backend", "queries", "cost_mean", "cost_max", "results_mean"],
             title="planner stats (per strategy x backend)",
         )
     )
@@ -512,40 +447,18 @@ def cmd_query(args: argparse.Namespace) -> int:
     counter = CostCounter()
     if args.rect is not None:
         dim = len(args.rect) // 2
-        if isinstance(index, RrKwIndex):
-            found_rects = index.query(
-                args.rect[:dim], args.rect[dim:], args.keywords, counter=counter
-            )
-            for rect_obj in found_rects:
-                print(
-                    json.dumps(
-                        {
-                            "oid": rect_obj.oid,
-                            "lo": list(rect_obj.lo),
-                            "hi": list(rect_obj.hi),
-                            "doc": sorted(rect_obj.doc),
-                        }
-                    )
-                )
-            print(
-                f"# {len(found_rects)} match(es), {counter.total} cost units",
-                file=sys.stderr,
-            )
-            return 0
-        from .core.dynamic import DynamicOrpKw
-        from .core.dynamize import DynamicKeywordsOnly, DynamicMultiKOrp
-
         rect_kinds = (OrpKwIndex, DynamicOrpKw, DynamicKeywordsOnly, DynamicMultiKOrp)
-        if not isinstance(index, rect_kinds):
+        if isinstance(index, RrKwIndex):
+            found = index.query(args.rect[:dim], args.rect[dim:], args.keywords, counter=counter)
+        elif isinstance(index, rect_kinds):
+            rect = Rect(args.rect[:dim], args.rect[dim:])
+            found = index.query(rect, args.keywords, counter=counter)
+        else:
             raise ValidationError(
                 "--rect queries need an index built with --kind orp or rr "
                 "(or a rect-family --dynamic index)"
             )
-        rect = Rect(args.rect[:dim], args.rect[dim:])
-        found = index.query(rect, args.keywords, counter=counter)
     elif args.halfspace is not None:
-        from .core.dynamize import DynamicLcKw
-
         if not isinstance(index, (LcKwIndex, DynamicLcKw)):
             raise ValidationError("--halfspace queries need an index built with --kind lc")
         from .geometry.halfspaces import HalfSpace
@@ -553,8 +466,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         *coeffs, bound = args.halfspace
         found = index.query([HalfSpace(coeffs, bound)], args.keywords, counter=counter)
     elif args.ball is not None:
-        from .core.dynamize import DynamicSrpKw
-
         if not isinstance(index, (SrpKwIndex, DynamicSrpKw)):
             raise ValidationError("--ball queries need an index built with --kind srp")
         *center, radius = args.ball
@@ -627,11 +538,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     from . import audit
 
     # Row ids are case-normalized so `--rows churn` and `--rows t1.1` work.
-    rows = (
-        [row.upper() for row in args.rows]
-        if args.rows
-        else list(audit.AUDITED_ROWS)
-    )
+    rows = [row.upper() for row in args.rows] if args.rows else list(audit.AUDITED_ROWS)
     for row in rows:
         audit.require_row(row)  # fail fast on typos before any sweep runs
     mode = "quick" if args.quick else "full"
@@ -648,12 +555,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
     if args.audit_command == "gate":
         result = audit.run_gate(
-            args.dir,
-            rows,
-            mode=mode,
-            seed=seed,
-            export_dir=args.export,
-            log=log,
+            args.dir, rows, mode=mode, seed=seed, export_dir=args.export, log=log
         )
         print(audit.render_gate(result))
         return result.exit_code
@@ -687,6 +589,15 @@ def cmd_demo(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_workload_args(parser, index_help: str, budget_help: str) -> None:
+    """The saved engine, query file and budget that workload commands share."""
+    parser.add_argument("index", help=index_help)
+    parser.add_argument(
+        "--queries", required=True, help="JSONL file of {rect, keywords} queries"
+    )
+    parser.add_argument("--budget", type=int, default=None, help=budget_help)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="keyword search with structured constraints"
@@ -697,9 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("dataset", help="JSONL file of {point, doc} records")
     p_build.add_argument("index", help="output index file")
     p_build.add_argument(
-        "--kind",
-        choices=sorted(set(INDEX_KINDS) | {"keywords", "multi"}),
-        default="orp",
+        "--kind", choices=sorted(set(INDEX_KINDS) | set(DYNAMIC_KINDS)), default="orp"
     )
     p_build.add_argument("--k", type=int, default=2, help="query keywords per query")
     p_build.add_argument(
@@ -709,16 +618,11 @@ def build_parser() -> argparse.ArgumentParser:
         "kinds orp, lc, srp, keywords, multi)",
     )
     p_build.add_argument(
-        "--budget",
-        type=int,
-        default=None,
+        "--budget", type=int, default=None,
         help="default per-query cost budget (engine/sharded kinds only)",
     )
     p_build.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="spatial shard count (sharded kind only)",
+        "--shards", type=int, default=4, help="spatial shard count (sharded kind only)"
     )
     p_build.add_argument(
         "--backend",
@@ -731,19 +635,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = sub.add_parser(
         "batch", help="serve a JSONL query workload through a saved engine"
     )
-    p_batch.add_argument("index", help="index file built with --kind engine")
-    p_batch.add_argument(
-        "--queries", required=True, help="JSONL file of {rect, keywords} queries"
-    )
-    p_batch.add_argument(
-        "--budget", type=int, default=None, help="per-query cost budget override"
+    _add_workload_args(
+        p_batch, "index file built with --kind engine", "per-query cost budget override"
     )
     p_batch.add_argument(
         "--results", action="store_true", help="print matches after each trace"
     )
     p_batch.add_argument(
-        "--save",
-        action="store_true",
+        "--save", action="store_true",
         help="write the engine (updated cache/stats) back to the index file",
     )
     p_batch.set_defaults(func=cmd_batch)
@@ -752,69 +651,42 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve a JSONL workload concurrently (async fan-out + admission)",
     )
-    p_serve.add_argument("index", help="index file built with --kind engine/sharded")
-    p_serve.add_argument(
-        "--queries", required=True, help="JSONL file of {rect, keywords} queries"
+    _add_workload_args(
+        p_serve, "index file built with --kind engine/sharded", "per-query cost budget"
     )
     p_serve.add_argument(
-        "--budget", type=int, default=None, help="per-query cost budget"
-    )
-    p_serve.add_argument(
-        "--max-inflight-cost",
-        type=int,
-        default=None,
+        "--max-inflight-cost", type=int, default=None,
         help="admission-control bound on summed in-flight budgets (shed above)",
     )
     p_serve.add_argument(
-        "--concurrency",
-        type=int,
-        default=None,
+        "--concurrency", type=int, default=None,
         help="worker-pool size (default: one per shard)",
     )
     p_serve.add_argument(
         "--results", action="store_true", help="print matches after each query line"
     )
     p_serve.add_argument(
-        "--telemetry-dir",
-        default=None,
-        metavar="DIR",
+        "--telemetry-dir", default=None, metavar="DIR",
         help="write metrics.prom / events.jsonl / traces.jsonl / stats.json "
         "here after the workload drains",
     )
     p_serve.add_argument(
-        "--slo-p99-cost",
-        type=int,
-        default=None,
+        "--slo-p99-cost", type=int, default=None,
         help="SLO target: windowed p99 query cost (arms the burn-rate monitor)",
     )
     p_serve.add_argument(
-        "--slo-shed-rate",
-        type=float,
-        default=None,
+        "--slo-shed-rate", type=float, default=None,
         help="SLO target: max fraction of window queries shed",
     )
     p_serve.add_argument(
-        "--slo-exhausted-rate",
-        type=float,
-        default=None,
+        "--slo-exhausted-rate", type=float, default=None,
         help="SLO target: max fraction of window queries exhausting their budget",
     )
     p_serve.add_argument(
-        "--slo-window",
-        type=int,
-        default=128,
+        "--slo-window", type=int, default=128,
         help="sliding-window size (queries) for the SLO monitor",
     )
     p_serve.set_defaults(func=cmd_serve)
-
-    p_bench_serve = sub.add_parser(
-        "bench-serve",
-        help="run the async-serving benchmark (fan-out wall-clock, mixed churn)",
-    )
-    p_bench_serve.add_argument(
-        "--quick", action="store_true", help="tiny CI-smoke configuration"
-    )
-    p_bench_serve.set_defaults(func=cmd_bench_serve)
 
     p_stats = sub.add_parser("stats", help="print a saved engine's statistics")
     p_stats.add_argument("index", help="index file built with --kind engine")
@@ -833,16 +705,12 @@ def build_parser() -> argparse.ArgumentParser:
         "events",
         help="replay a workload with a structured event log; print JSONL events",
     )
-    p_events.add_argument("index", help="index file built with --kind engine/sharded")
-    p_events.add_argument(
-        "--queries", required=True, help="JSONL file of {rect, keywords} queries"
+    _add_workload_args(
+        p_events,
+        "index file built with --kind engine/sharded",
+        "per-query cost budget override",
     )
-    p_events.add_argument(
-        "--budget", type=int, default=None, help="per-query cost budget override"
-    )
-    p_events.add_argument(
-        "--kind", default=None, help="only print events of this kind"
-    )
+    p_events.add_argument("--kind", default=None, help="only print events of this kind")
     p_events.add_argument(
         "--capacity", type=int, default=4096, help="event ring-buffer capacity"
     )
@@ -859,20 +727,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser("query", help="run a reporting query")
     p_query.add_argument("index")
     p_query.add_argument("--keywords", type=int, nargs="+", required=True)
-    p_query.add_argument(
-        "--rect", type=float, nargs="+", help="lo coords then hi coords"
-    )
-    p_query.add_argument(
-        "--halfspace", type=float, nargs="+", help="coefficients then bound"
-    )
-    p_query.add_argument(
-        "--ball", type=float, nargs="+", help="center coords then radius"
-    )
+    p_query.add_argument("--rect", type=float, nargs="+", help="lo coords then hi coords")
+    p_query.add_argument("--halfspace", type=float, nargs="+", help="coefficients then bound")
+    p_query.add_argument("--ball", type=float, nargs="+", help="center coords then radius")
     p_query.set_defaults(func=cmd_query)
 
-    p_trace = sub.add_parser(
-        "trace", help="serve one query and print its cost-span tree"
-    )
+    p_trace = sub.add_parser("trace", help="serve one query and print its cost-span tree")
     p_trace.add_argument("index", help="index file (orp, engine, or sharded kind)")
     p_trace.add_argument(
         "--rect", type=float, nargs="+", required=True,
@@ -906,8 +766,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p_lint.add_argument(
-        "lint_args",
-        nargs=argparse.REMAINDER,
+        "lint_args", nargs=argparse.REMAINDER,
         help="arguments forwarded to python -m repro.analysis",
     )
     p_lint.set_defaults(func=cmd_lint)

@@ -10,7 +10,9 @@
 * :mod:`repro.core.srp_kw` — Corollary 6 (spherical range reporting);
 * :mod:`repro.core.nn_l2` — Corollary 7 (L2 nearest neighbour);
 * :mod:`repro.core.baselines` — the two naive solutions of §1 for every
-  problem.
+  problem;
+* :mod:`repro.core.dynamize` — Bentley–Saxe inserts and deletes for every
+  family (extension; not in the paper).
 """
 
 from .orp_kw import OrpKwIndex
@@ -26,6 +28,7 @@ from .dynamize import (
     DynamicKeywordsOnly,
     DynamicLcKw,
     DynamicMultiKOrp,
+    DynamicOrpKw,
     DynamicSrpKw,
     GaugeCompactionPolicy,
 )
@@ -36,6 +39,7 @@ __all__ = [
     "DynamicKeywordsOnly",
     "DynamicLcKw",
     "DynamicMultiKOrp",
+    "DynamicOrpKw",
     "DynamicSrpKw",
     "GaugeCompactionPolicy",
     "OrpKwIndex",

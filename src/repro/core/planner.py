@@ -101,12 +101,6 @@ class HybridPlanner:
         state["_fast"] = None
         return state
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        # Planners pickled before the vectorized backend existed.
-        self.__dict__.setdefault("backend", "cost_model")
-        self.__dict__.setdefault("_fast", None)
-
     def _run_keywords(
         self, rect: Rect, keywords: Sequence[int], counter: CostCounter
     ) -> List[KeywordObject]:

@@ -23,7 +23,7 @@ from .errors import ValidationError
 
 #: File format magic + version. Bump the version on layout changes.
 MAGIC = "repro-index"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def save_index(index, path) -> None:

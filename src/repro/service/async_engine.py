@@ -25,7 +25,7 @@ serializing same-shard access.  Records, costs and metrics are therefore
 identical to synchronous serving, query for query.
 
 **Snapshot isolation** (:class:`AsyncDynamicIndex` over a
-:class:`~repro.core.dynamic.DynamicOrpKw`).  Writers serialize behind an
+:class:`~repro.core.dynamize.DynamicOrpKw`).  Writers serialize behind an
 :class:`asyncio.Lock` and each mutation publishes one immutable epoch;
 readers pin a :class:`~repro.service.snapshots.Snapshot` and run lock-free
 against it, so a rebuild mid-query can never surface a half-applied batch,

@@ -206,20 +206,6 @@ class ServingBookkeeping:
         state["_events"] = None
         return state
 
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Engines pickled before the trace layer, the vectorized backend or
-        # the telemetry subsystem lack these fields; default them so old
-        # index files keep serving (and stats()) cleanly.
-        self.__dict__.update(state)
-        self.__dict__.setdefault("tracing", False)
-        self.__dict__.setdefault("backend", "cost_model")
-        self.__dict__.setdefault("_events", None)
-        self.__dict__.setdefault("_degraded_slices", 0)
-        if self.__dict__.get("metrics") is None:
-            self.metrics = MetricsRegistry()
-        if self.__dict__.get("stats_collector") is None:
-            self.stats_collector = StatsCollector()
-
     def _corpus_size(self) -> int:
         """Objects currently served (the planner feed's selectivity base)."""
         return len(self.dataset)
@@ -629,10 +615,7 @@ class QueryEngine(ServingBookkeeping):
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Engines pickled with the retired dynamic_index attachment.
-        state.pop("_dynamic", None)
-        super().__setstate__(state)
-        self._fast = None
+        self.__dict__.update(state)
         if self.backend != "cost_model" and self.dataset.objects:
             from ..fast import VectorizedBackend
 

@@ -194,18 +194,13 @@ class ShardMap:
         epoch_id: int,
         datasets: Sequence[Dataset],
         engines: Sequence[QueryEngine],
-        bounds: Optional[Sequence[Optional[Rect]]] = None,
     ) -> "ShardMap":
         """A map over freshly cut shards: no deltas, no tombstones."""
         return cls(
             epoch_id,
             tuple(datasets),
             tuple(engines),
-            tuple(
-                bounds
-                if bounds is not None
-                else (_bounding_rect(shard) for shard in datasets)
-            ),
+            tuple(_bounding_rect(shard) for shard in datasets),
             tuple(() for _ in datasets),
             frozenset(),
             tuple(len(shard) for shard in datasets),
@@ -516,52 +511,6 @@ class ShardedQueryEngine(ServingBookkeeping):
                 shards=len(shard_map.datasets),
                 live=shard_map.live_count,
                 tombstones=len(shard_map.tombstones),
-            )
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Engines pickled before the copy-on-write shard map existed carry
-        # plain shard_datasets / shard_engines / shard_bounds attributes
-        # (now read-only properties over the map): migrate them into an
-        # epoch-0 ShardMap with empty deltas and tombstones.
-        legacy_datasets = state.pop("shard_datasets", None)
-        legacy_engines = state.pop("shard_engines", None)
-        legacy_bounds = state.pop("shard_bounds", None)
-        super().__setstate__(state)
-        # Engines pickled before online rebalancing existed.
-        self.__dict__.setdefault("_sample_size", 256)
-        self.__dict__.setdefault("_seed", 0)
-        self.__dict__.setdefault("_keep_records", 1024)
-        self.__dict__.setdefault("rebalance_threshold", 1.5)
-        self.__dict__.setdefault("_rebalances", 0)
-        if "_state" not in self.__dict__ and legacy_datasets is not None:
-            datasets = tuple(legacy_datasets)
-            self._objects = {
-                obj.oid: obj for shard in datasets for obj in shard.objects
-            }
-            self._owner = _owners(datasets)
-            self._next_oid = max(self._objects, default=-1) + 1
-            self._publish_state(
-                ShardMap.fresh(
-                    0,
-                    datasets,
-                    legacy_engines
-                    if legacy_engines is not None
-                    else self._build_engines(datasets),
-                    # Engines pickled before the concurrent fan-out had none.
-                    legacy_bounds,
-                )
-            )
-        elif not hasattr(self._state, "live_inputs"):
-            # Maps pickled before live input sizes were tracked.
-            shard_map = self._state
-            shard_map.live_inputs = tuple(
-                sum(
-                    len(obj.doc)
-                    for objects in (dataset.objects, delta)
-                    for obj in objects
-                    if obj.oid not in shard_map.tombstones
-                )
-                for dataset, delta in zip(shard_map.datasets, shard_map.deltas)
             )
 
     # -- published shard map -----------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 from repro.analysis import analyze_paths
 from repro.analysis.rules import select_rules
 from repro.costmodel import CostCounter
-from repro.core.dynamic import DynamicOrpKw
+from repro.core.dynamize import DynamicOrpKw
 from repro.geometry.rectangles import Rect
 from repro.trace.span import Tracer
 
@@ -74,7 +74,7 @@ class TestTreeRegressions:
 
     def test_dynamic_module_is_span_clean(self):
         findings = analyze_paths(
-            [SRC / "repro/core/dynamic.py"],
+            [SRC / "repro/core/dynamize.py"],
             root=REPO_ROOT,
             rules=select_rules(["R10"]),
         )

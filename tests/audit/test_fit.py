@@ -33,6 +33,10 @@ class TestRecovery:
         with pytest.raises(ValidationError):
             fit_exponent([10], [5], resamples=0, seed=0)
 
+    def test_all_x_equal_rejected(self):
+        with pytest.raises(ValidationError, match="all x values equal"):
+            fit_exponent([10, 10, 10], [1, 2, 3], resamples=0, seed=0)
+
 
 class TestDeterminism:
     def test_same_seed_same_fit(self):

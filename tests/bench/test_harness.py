@@ -1,106 +1,43 @@
-"""Unit tests for repro.bench."""
+"""Unit tests for the benchmark harness (``benchmarks/common.py``).
 
-import math
+The benchmark scripts fit their log-log slopes through ``common.slope``,
+which is the audit fitter (:func:`repro.audit.fit.fit_exponent`) without
+the bootstrap.
+"""
+
+import importlib.util
+import pathlib
 
 import pytest
 
-from repro.bench.harness import (
-    fit_loglog_slope,
-    geometric_sizes,
-    predicted_query_bound,
-    run_sweep,
-)
-from repro.bench.reporting import format_table
 from repro.errors import ValidationError
+
+_COMMON = pathlib.Path(__file__).resolve().parents[2] / "benchmarks" / "common.py"
+_spec = importlib.util.spec_from_file_location("benchmarks_common", _COMMON)
+common = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(common)
 
 
 class TestSlopeFitting:
     def test_exact_power_law(self):
         xs = [10, 100, 1000, 10000]
         ys = [x**0.5 for x in xs]
-        assert fit_loglog_slope(xs, ys) == pytest.approx(0.5, abs=1e-9)
+        assert common.slope(xs, ys) == pytest.approx(0.5, abs=1e-9)
 
     def test_linear(self):
         xs = [10, 100, 1000]
-        assert fit_loglog_slope(xs, [3 * x for x in xs]) == pytest.approx(1.0)
+        assert common.slope(xs, [3 * x for x in xs]) == pytest.approx(1.0)
 
     def test_constant(self):
-        assert fit_loglog_slope([10, 100], [5, 5]) == pytest.approx(0.0)
+        assert common.slope([10, 100], [5, 5]) == pytest.approx(0.0)
 
     def test_zero_values_clamped(self):
-        slope = fit_loglog_slope([10, 100], [0, 0])
-        assert slope == pytest.approx(0.0)
+        assert common.slope([10, 100], [0, 0]) == pytest.approx(0.0)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValidationError):
-            fit_loglog_slope([10], [10])
+            common.slope([10], [10])
 
     def test_degenerate_x_rejected(self):
         with pytest.raises(ValidationError):
-            fit_loglog_slope([10, 10], [1, 2])
-
-
-class TestSweep:
-    def test_run_sweep_collects_rows(self):
-        result = run_sweep("n", [10, 20], lambda n: {"cost": n * 2})
-        assert result.rows == [
-            {"n": 10.0, "cost": 20},
-            {"n": 20.0, "cost": 40},
-        ]
-        assert result.column("cost") == [20, 40]
-
-    def test_slope_on_sweep(self):
-        result = run_sweep("n", [10, 100, 1000], lambda n: {"cost": n**0.75})
-        assert result.slope("n", "cost") == pytest.approx(0.75)
-
-    def test_ratio_spread(self):
-        result = run_sweep("n", [10, 100], lambda n: {"cost": 3 * n, "bound": n})
-        assert result.ratio_spread("cost", "bound") == pytest.approx(1.0)
-
-    def test_ratio_spread_with_zero_denominator(self):
-        result = run_sweep("n", [10], lambda n: {"cost": 1, "bound": 0})
-        assert math.isinf(result.ratio_spread("cost", "bound"))
-
-
-class TestGeometricSizes:
-    def test_endpoints(self):
-        sizes = geometric_sizes(100, 1600, 5)
-        assert sizes[0] == 100
-        assert sizes[-1] == 1600
-        assert len(sizes) == 5
-
-    def test_monotone(self):
-        sizes = geometric_sizes(10, 10000, 7)
-        assert sizes == sorted(sizes)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            geometric_sizes(100, 100, 3)
-        with pytest.raises(ValidationError):
-            geometric_sizes(10, 100, 1)
-
-
-class TestPredictedBound:
-    def test_out_zero(self):
-        assert predicted_query_bound(100, 2, 0) == pytest.approx(10.0)
-
-    def test_out_positive(self):
-        assert predicted_query_bound(100, 2, 25) == pytest.approx(10 * 6)
-
-
-class TestFormatting:
-    def test_format_table_alignment(self):
-        rows = [{"n": 10, "cost": 3.14159}, {"n": 1000, "cost": 2.0}]
-        text = format_table(rows, title="demo")
-        lines = text.splitlines()
-        assert lines[0] == "demo"
-        assert "n" in lines[1] and "cost" in lines[1]
-        assert len(lines) == 5
-
-    def test_empty_rows(self):
-        assert "(no rows)" in format_table([])
-
-    def test_column_selection(self):
-        rows = [{"a": 1, "b": 2}]
-        text = format_table(rows, columns=["b"])
-        assert "a" not in text.splitlines()[0]
+            common.slope([10, 10], [1, 2])

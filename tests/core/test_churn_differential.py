@@ -19,7 +19,7 @@ import random
 import pytest
 
 from repro.core.baselines import KeywordsOnlyIndex
-from repro.core.dynamic import DynamicOrpKw
+from repro.core.dynamize import DynamicOrpKw
 from repro.core.dynamize import (
     DynamicKeywordsOnly,
     DynamicLcKw,

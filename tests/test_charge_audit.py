@@ -18,7 +18,7 @@ import random
 
 import repro
 from repro.core.baselines import KeywordsOnlyIndex
-from repro.core.dynamic import DynamicOrpKw
+from repro.core.dynamize import DynamicOrpKw
 from repro.core.lc_kw import LcKwIndex
 from repro.core.orp_kw import OrpKwIndex
 from repro.core.srp_kw import SrpKwIndex
@@ -54,7 +54,7 @@ class TestUnchargedTraversals:
         # structure probe per candidate (including tombstoned ones).
         inner = CostCounter()
         candidates = []
-        for bucket in dyn._buckets:
+        for bucket in dyn.epoch.buckets:
             if bucket is not None:
                 candidates.extend(bucket.query(rect, [1, 2], inner))
         assert len(candidates) > len(result)  # tombstones were filtered

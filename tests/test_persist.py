@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.core.dynamize import DynamicMultiKOrp
 from repro.core.lc_kw import LcKwIndex
 from repro.core.orp_kw import OrpKwIndex
 from repro.errors import ValidationError
@@ -11,8 +12,13 @@ from repro.geometry.halfspaces import HalfSpace
 from repro.geometry.rectangles import Rect
 from repro.persist import FORMAT_VERSION, load_index, save_index
 from repro.service.engine import QueryEngine
+from repro.telemetry import EventLog
 
 from helpers import random_dataset
+
+
+class _StandIn:
+    """Pickled by reference, then renamed to a class path that no longer exists."""
 
 
 class TestRoundTrip:
@@ -54,6 +60,22 @@ class TestRoundTrip:
             got, got_record = loaded.serve(rect, words, budget=budget)
             assert [o.oid for o in got] == [o.oid for o in want]
             assert got_record.to_dict() == want_record.to_dict()
+
+    def test_dynamized_index_does_not_save_its_event_log(self, tmp_path):
+        # The log is a live attachment, often shared across a serving stack;
+        # saving it would hand every loaded index a stale private copy.
+        events = EventLog()
+        index = DynamicMultiKOrp(dim=2, max_k=2, events=events)
+        index.insert((0.1, 0.2), {1, 2})
+        assert events.stats()["emitted"] == 2  # carry_merge + epoch_publish
+        path = tmp_path / "dynamic.idx"
+        save_index(index, path)
+        loaded = load_index(path, expected_class=DynamicMultiKOrp)
+        assert loaded._events is None
+        assert index._events is events  # saving does not detach the original
+        loaded.insert((0.3, 0.4), {1, 2})
+        assert events.stats()["emitted"] == 2
+        assert sorted(o.oid for o in loaded.query(Rect((0.0, 0.0), (1.0, 1.0)), [1, 2])) == [0, 1]
 
     def test_expected_class_enforced(self, rng, tmp_path):
         ds = random_dataset(rng, 20)
@@ -112,6 +134,26 @@ class TestEnvelopeValidation:
         path.write_bytes(pickle.dumps(envelope))
         with pytest.raises(ValidationError, match="older format"):
             load_index(path)
+
+    def test_format_2_dynamic_module_rejected(self, tmp_path):
+        # Format 2 pickled DynamicOrpKw under the removed repro.core.dynamic
+        # module; such a file must be refused as an older format, not crash
+        # with ModuleNotFoundError.
+        envelope = {
+            "magic": "repro-index",
+            "format": 2,
+            "library_version": "1.0.0",
+            "index_class": "DynamicOrpKw",
+            "index": _StandIn(),
+        }
+        raw = pickle.dumps(envelope, protocol=0)
+        stand_in = f"c{_StandIn.__module__}\n{_StandIn.__qualname__}\n".encode()
+        assert stand_in in raw
+        path = tmp_path / "format2_dynamic.idx"
+        path.write_bytes(raw.replace(stand_in, b"crepro.core.dynamic\nDynamicOrpKw\n"))
+        with pytest.raises(ValidationError, match="older format") as excinfo:
+            load_index(path)
+        assert isinstance(excinfo.value.__cause__, ModuleNotFoundError)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
