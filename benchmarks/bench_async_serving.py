@@ -129,9 +129,13 @@ def bench_mixed(
 
     The writer publishes ``batches`` insert batches (deleting a sample of
     earlier objects between batches) while ``readers`` query loops pin
-    snapshots concurrently.  Every read is checked against the epoch
-    protocol: result sets must be free of duplicates and consistent with
-    the pinned epoch's live set — an isolation violation raises.
+    snapshots concurrently.  Each reader reads at most once per published
+    epoch: after a read it waits for the writer's next publication instead
+    of re-querying the epoch it has already checked, so reader work stays
+    bounded by the epoch count and never starves the writer's pool calls.
+    Every read is checked against the epoch protocol: result sets must be
+    free of duplicates and consistent with the pinned epoch's live set — an
+    isolation violation raises.
     """
     rng = random.Random(seed)
     index = DynamicOrpKw(k=2, dim=2)
@@ -145,39 +149,58 @@ def bench_mixed(
     reads = 0
     start = time.perf_counter()
 
-    async def writer(adi: AsyncDynamicIndex) -> None:
+    async def writer(adi: AsyncDynamicIndex, published: asyncio.Condition) -> None:
+        async def notify() -> None:
+            async with published:
+                published.notify_all()
+
         for _ in range(batches):
             new = await adi.insert_many(
                 [(rng.random(), rng.random()) for _ in range(batch_size)],
                 [frozenset({1, 2, rng.randint(3, 6)}) for _ in range(batch_size)],
             )
             live.update(new)
+            await notify()
             for oid in rng.sample(sorted(live), min(batch_size // 2, len(live))):
                 await adi.delete(oid)
                 live.discard(oid)
-            await asyncio.sleep(0)
+                await notify()
 
-    async def reader(adi: AsyncDynamicIndex, done: asyncio.Event) -> None:
+    async def reader(
+        adi: AsyncDynamicIndex, published: asyncio.Condition, done: asyncio.Event
+    ) -> None:
         nonlocal reads
-        while not done.is_set():
+        checked = None
+        while True:
             snapshot = adi.pin()
-            found = snapshot.query(Rect.full(2), [1, 2])
-            got = [obj.oid for obj in found]
-            if len(got) != len(set(got)):
-                raise AssertionError("duplicate oids in a snapshot read")
-            if set(got) != set(snapshot.live_oids()):
-                raise AssertionError("snapshot read inconsistent with its epoch")
-            reads += 1
-            await asyncio.sleep(0)
+            if snapshot.epoch_id != checked:
+                checked = snapshot.epoch_id
+                found = snapshot.query(Rect.full(2), [1, 2])
+                got = [obj.oid for obj in found]
+                if len(got) != len(set(got)):
+                    raise AssertionError("duplicate oids in a snapshot read")
+                if set(got) != set(snapshot.live_oids()):
+                    raise AssertionError("snapshot read inconsistent with its epoch")
+                reads += 1
+            if done.is_set():
+                return
+            # No await between the done check and wait(): the writer can
+            # only publish (and notify) while this reader is parked.
+            async with published:
+                await published.wait()
 
     async def drive() -> int:
         async with AsyncDynamicIndex(index) as adi:
+            published = asyncio.Condition()
             done = asyncio.Event()
             tasks = [
-                asyncio.ensure_future(reader(adi, done)) for _ in range(readers)
+                asyncio.ensure_future(reader(adi, published, done))
+                for _ in range(readers)
             ]
-            await writer(adi)
+            await writer(adi, published)
             done.set()
+            async with published:
+                published.notify_all()
             await asyncio.gather(*tasks)
             return adi.stats()["published_epoch"]
 

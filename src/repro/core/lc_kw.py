@@ -110,17 +110,11 @@ class LcKwIndex:
     simplices share facets), and apply the exact constraint filter.
     """
 
-    def __init__(self, dataset: Dataset, k: int, scheme=None, backend: str = "cost_model"):
-        from ..fast import validate_backend
-
+    def __init__(self, dataset: Dataset, k: int, scheme=None):
         self._sp = SpKwIndex(dataset, k, scheme=scheme)
         self.dataset = dataset
         self.k = k
         self.dim = dataset.dim
-        #: ``"vectorized"`` batches the exact constraint post-filter
-        #: (:func:`repro.fast.region_mask`): same predicate term order, same
-        #: per-candidate ``comparisons`` charge, identical results.
-        self.backend = validate_backend(backend)
 
     def query(
         self,
@@ -149,16 +143,10 @@ class LcKwIndex:
             with span_for(counter, "region", "lc_kw"):
                 found = self._sp.query_region(region, words, counter, max_report)
                 result = []
-                if self.backend == "vectorized" and found:
-                    counter.charge("comparisons", len(found))
-                    for obj, ok in zip(found, self._batch_satisfies(found, constraints)):
-                        if ok:
-                            result.append(obj)
-                else:
-                    for obj in found:
-                        counter.charge("comparisons")
-                        if self._satisfies(obj, constraints):
-                            result.append(obj)
+                for obj in found:
+                    counter.charge("comparisons")
+                    if self._satisfies(obj, constraints):
+                        result.append(obj)
             return result
 
         polytope = polytope_from_constraints(
@@ -175,18 +163,11 @@ class LcKwIndex:
                 found = self._sp.query_simplex(
                     simplex, words, counter, max_report=remaining
                 )
-                if self.backend == "vectorized" and found:
-                    counter.charge("comparisons", len(found))
-                    for obj, ok in zip(found, self._batch_satisfies(found, constraints)):
-                        if obj.oid not in seen and ok:
-                            seen.add(obj.oid)
-                            result.append(obj)
-                else:
-                    for obj in found:
-                        counter.charge("comparisons")
-                        if obj.oid not in seen and self._satisfies(obj, constraints):
-                            seen.add(obj.oid)
-                            result.append(obj)
+                for obj in found:
+                    counter.charge("comparisons")
+                    if obj.oid not in seen and self._satisfies(obj, constraints):
+                        seen.add(obj.oid)
+                        result.append(obj)
         return result
 
     def is_empty(
@@ -214,13 +195,6 @@ class LcKwIndex:
     @staticmethod
     def _satisfies(obj: KeywordObject, constraints: Sequence[HalfSpace]) -> bool:
         return all(h.contains(obj.point) for h in constraints)
-
-    @staticmethod
-    def _batch_satisfies(found: Sequence[KeywordObject], constraints):
-        """Vectorized :meth:`_satisfies` over a candidate list (bool mask)."""
-        from ..fast import points_array, region_mask
-
-        return region_mask(points_array(found), constraints)
 
     @property
     def input_size(self) -> int:

@@ -51,28 +51,16 @@ class HybridPlanner:
         inverted: Optional[InvertedIndex] = None,
         structured: Optional[StructuredOnlyIndex] = None,
         keywords_index: Optional[KeywordsOnlyIndex] = None,
-        backend: str = "cost_model",
-        fast_backend=None,
     ):
         """The optional ``fused_index`` / ``inverted`` / ``structured`` /
         ``keywords_index`` parameters let a caller that already built those
         structures (e.g. :class:`repro.service.QueryEngine`, which keeps one
         planner per ``k``) share them instead of paying for duplicates.
-
-        ``backend="vectorized"`` executes the keywords-only strategy through
-        the numpy fast path (:mod:`repro.fast`) — same results, same charged
-        cost, batched execution; ``fast_backend`` shares an already-built
-        :class:`~repro.fast.VectorizedBackend` the same way the index
-        parameters do.
         """
-        from ..fast import validate_backend
-
         if sample_size < 1:
             raise ValidationError("sample_size must be >= 1")
         self.dataset = dataset
         self.k = k
-        self.backend = validate_backend(backend)
-        self._fast = fast_backend
         # The fused index cannot be built over zero objects; an empty dataset
         # gets a fused-less planner whose every strategy reports nothing.
         if fused_index is not None:
@@ -93,25 +81,6 @@ class HybridPlanner:
         count = min(sample_size, len(population))
         self._sample = rng.sample(population, count)
         self.last_plan: Optional[Dict[str, float]] = None
-
-    def __getstate__(self):
-        # The array mirror is derived state: rebuild on demand after
-        # unpickling instead of bloating index files with numpy blocks.
-        state = dict(self.__dict__)
-        state["_fast"] = None
-        return state
-
-    def _run_keywords(
-        self, rect: Rect, keywords: Sequence[int], counter: CostCounter
-    ) -> List[KeywordObject]:
-        """Execute the keywords-only strategy on the configured backend."""
-        if self.backend == "vectorized" and self.dataset.objects:
-            if self._fast is None:
-                from ..fast import VectorizedBackend
-
-                self._fast = VectorizedBackend(self.dataset)
-            return self._fast.query_rect(rect, keywords, counter)
-        return self._keywords.query_rect(rect, keywords, counter)
 
     # -- estimation -----------------------------------------------------------
 
@@ -205,7 +174,7 @@ class HybridPlanner:
         self.last_plan["choice"] = fallback
         with span_for(counter, fallback, "planner"):
             if fallback == "keywords_only":
-                return self._run_keywords(rect, keywords, counter)
+                return self._keywords.query_rect(rect, keywords, counter)
             return self._structured.query_rect(rect, keywords, counter)
 
     def query_with(
@@ -226,7 +195,7 @@ class HybridPlanner:
                     return []
                 return self._fused.query(rect, keywords, counter)
             if strategy == "keywords_only":
-                return self._run_keywords(rect, keywords, counter)
+                return self._keywords.query_rect(rect, keywords, counter)
             return self._structured.query_rect(rect, keywords, counter)
 
     @property

@@ -43,6 +43,7 @@ from ..geometry.rectangles import Rect
 from ..core.baselines import KeywordsOnlyIndex, StructuredOnlyIndex
 from ..core.multi_k import MultiKOrpIndex
 from ..core.planner import HybridPlanner
+from ..fast import VectorizedBackend, validate_backend
 from ..telemetry.events import EventLog
 from ..telemetry.quantiles import StatsCollector
 from ..trace import MetricsRegistry, Tracer, span_for
@@ -93,9 +94,7 @@ class QueryRecord:
             "strategy": self.strategy,
             "cache": self.cache,
             "budget": self.budget,
-            # getattr: records unpickled from pre-vectorized-backend
-            # snapshots lack the field entirely.
-            "backend": getattr(self, "backend", "cost_model"),
+            "backend": self.backend,
             "degraded": self.degraded,
             "fallbacks": list(self.fallbacks),
             "cost": dict(self.cost),
@@ -103,9 +102,7 @@ class QueryRecord:
             "result_count": self.result_count,
             "shards": [dict(s) for s in self.shards],
             "trace": self.trace,
-            # getattr: records unpickled from pre-async-serving snapshots
-            # lack the field entirely.
-            "reason": getattr(self, "reason", None),
+            "reason": self.reason,
         }
 
     def to_json(self) -> str:
@@ -133,6 +130,14 @@ def coerce_rect(rect: Union[Rect, Sequence[float]]) -> Rect:
         )
     dim = len(coords) // 2
     return Rect(coords[:dim], coords[dim:])
+
+
+def check_rect_dim(rect: Rect, dim: int) -> None:
+    """Refuse a query rectangle whose dimensionality differs from the data's."""
+    if rect.dim != dim:
+        raise ValidationError(
+            f"query rectangle is {rect.dim}-dimensional, data is {dim}-dimensional"
+        )
 
 
 @dataclass
@@ -222,11 +227,7 @@ class ServingBookkeeping:
             raise ValidationError(
                 f"{len(words)} distinct keywords exceed max_k={self.max_k}"
             )
-        if self.dataset.dim is not None and rect.dim != self.dataset.dim:
-            raise ValidationError(
-                f"query rectangle is {rect.dim}-dimensional, "
-                f"data is {self.dataset.dim}-dimensional"
-            )
+        check_rect_dim(rect, self.dataset.dim)
         return rect, words
 
     def _begin(
@@ -508,7 +509,7 @@ class ServingBookkeeping:
         )
 
     @property
-    def dim(self) -> Optional[int]:
+    def dim(self) -> int:
         """Dimensionality of the served points (mirrors the index classes)."""
         return self.dataset.dim
 
@@ -560,24 +561,17 @@ class QueryEngine(ServingBookkeeping):
         backend: str = "cost_model",
         events: Optional[EventLog] = None,
     ):
-        from ..fast import VectorizedBackend, validate_backend
-
         if dataset is None:
             raise ValidationError("dataset is required")
         self._init_bookkeeping(
             default_budget, cache_size, keep_records, tracing, metrics, events
         )
-        self.backend = validate_backend(backend, allow_auto=True)
+        self.backend = validate_backend(backend)
         self.dataset = dataset
         self.max_k = max_k
-        # The numpy mirror used for vectorized keywords-only execution.
         # Built eagerly (it is cheap relative to the fused indexes below) so
         # the first query does not pay a hidden build cost.
-        self._fast = (
-            VectorizedBackend(dataset)
-            if dataset.objects and self.backend != "cost_model"
-            else None
-        )
+        self._fast = self._build_fast()
 
         if dataset.objects:
             self._index: Optional[MultiKOrpIndex] = MultiKOrpIndex(dataset, max_k)
@@ -616,10 +610,18 @@ class QueryEngine(ServingBookkeeping):
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        if self.backend != "cost_model" and self.dataset.objects:
-            from ..fast import VectorizedBackend
+        self._fast = self._build_fast()
 
-            self._fast = VectorizedBackend(self.dataset)
+    def _build_fast(self) -> Optional[VectorizedBackend]:
+        """The numpy mirror for vectorized keywords-only execution, if any.
+
+        This engine is the one place a :class:`~repro.fast.VectorizedBackend`
+        is built: only a non-``cost_model`` engine over a non-empty corpus
+        has one.
+        """
+        if self.backend == "cost_model" or not self.dataset.objects:
+            return None
+        return VectorizedBackend(self.dataset)
 
     # -- planning ---------------------------------------------------------------
 

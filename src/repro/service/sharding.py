@@ -75,13 +75,20 @@ from typing import (
 import numpy as np
 
 from ..costmodel import CostCounter, ensure_counter
-from ..dataset import Dataset, KeywordObject
+from ..dataset import Dataset, KeywordObject, validate_nonempty_keywords
 from ..errors import ValidationError
+from ..fast import validate_backend
 from ..geometry.rectangles import Rect
 from ..telemetry.events import EventLog
 from ..telemetry.quantiles import StatsCollector
 from ..trace import MetricsRegistry, Tracer, span_for
-from .engine import PendingQuery, QueryEngine, QueryRecord, ServingBookkeeping
+from .engine import (
+    PendingQuery,
+    QueryEngine,
+    QueryRecord,
+    ServingBookkeeping,
+    check_rect_dim,
+)
 
 
 def split_budget_exact(budget: int, parts: int) -> List[int]:
@@ -233,9 +240,12 @@ class ShardMap:
         per candidate, one ``comparisons`` per geometric test.  This is the
         snapshot read path — it never touches the mutable per-shard engines,
         so pinned snapshots are safe under any concurrent writer activity.
+        The query is validated like the live engine's: a non-empty keyword
+        list and a rectangle of the data's dimensionality.
         """
+        words = set(validate_nonempty_keywords(keywords))
+        check_rect_dim(rect, self.datasets[0].dim)
         counter = ensure_counter(counter)
-        words = set(keywords)
         result: List[KeywordObject] = []
         with span_for(counter, "shardmap-scan", "sharding", epoch=self.epoch_id):
             for shard_id, dataset in enumerate(self.datasets):
@@ -441,8 +451,6 @@ class ShardedQueryEngine(ServingBookkeeping):
         backend: str = "cost_model",
         events: Optional[EventLog] = None,
     ):
-        from ..fast import validate_backend
-
         if shards < 1:
             raise ValidationError(f"shards must be >= 1, got {shards}")
         # Before the first _publish_state call below, so the initial shard
@@ -455,7 +463,7 @@ class ShardedQueryEngine(ServingBookkeeping):
         self.max_k = max_k
         #: Execution backend handed to every shard engine ("auto" resolves
         #: per shard, per query, against that shard's own metrics history).
-        self.backend = validate_backend(backend, allow_auto=True)
+        self.backend = validate_backend(backend)
         #: Global vocabulary of the build-time dataset, shared across shards
         #: (each shard's inverted index only covers its slice).
         self.vocabulary = dataset.vocabulary
@@ -569,7 +577,7 @@ class ShardedQueryEngine(ServingBookkeeping):
         """
         coords = tuple(float(c) for c in point)
         state = self._state
-        dim = self.dataset.dim if self.dataset.dim is not None else len(coords)
+        dim = self.dataset.dim
         if len(coords) != dim:
             raise ValidationError(
                 f"point is {len(coords)}-dimensional, data is {dim}-dimensional"
@@ -707,8 +715,7 @@ class ShardedQueryEngine(ServingBookkeeping):
             if oid not in tombstones
         ]
         self._objects = {obj.oid: obj for obj in live}
-        dim = self.dataset.dim if self.dataset.dim is not None else 1
-        dataset = Dataset(live) if live else Dataset.empty(dim)
+        dataset = Dataset(live) if live else Dataset.empty(self.dataset.dim)
         datasets = partition_dataset(dataset, self.num_shards)
         self._owner = _owners(datasets)
         self._rebalances += 1

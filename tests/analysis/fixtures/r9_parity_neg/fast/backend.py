@@ -7,6 +7,3 @@ class VectorizedBackend:
         counter.charge("comparisons", 1)
         return self.store.intersect(query.keywords, counter)
 
-    def query_halfspaces(self, query, counter):
-        counter.charge("comparisons", 1)
-        return self.store.intersect(query.keywords, counter)

@@ -7,6 +7,3 @@ class VectorizedBackend:
         counter.charge("simd_lanes", 4)
         return []
 
-    def query_halfspaces(self, query, counter):
-        counter.charge("comparisons", 1)
-        return []

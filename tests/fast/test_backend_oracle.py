@@ -6,7 +6,8 @@ and charge the *same cost-model units in every category*.  The scalar path
 is the oracle — these tests sweep both paths over the benchmark workload
 families (zipf, planted, disjoint-pair — the Table-1 rows), seeds, budgets,
 and sharded/unsharded serving, and demand byte-identical sorted object-id
-sets plus identical cost snapshots wherever a single index runs both paths.
+sets, plus identical cost snapshots where ``KeywordsOnlyIndex`` and
+``VectorizedBackend`` answer the same rectangle query side by side.
 """
 
 import random
@@ -15,13 +16,10 @@ import pytest
 
 from repro.analysis.runner import analyze_paths
 from repro.core.baselines import KeywordsOnlyIndex
-from repro.core.lc_kw import LcKwIndex
-from repro.core.srp_kw import SrpKwIndex
 from repro.costmodel import CATEGORIES, CostCounter
 from repro.dataset import Dataset, make_objects
 from repro.errors import ValidationError
 from repro.fast import ArrayStore, VectorizedBackend, validate_backend
-from repro.geometry.halfspaces import rect_to_halfspaces
 from repro.geometry.rectangles import Rect
 from repro.service import QueryEngine, ShardedQueryEngine
 from repro.trace import Tracer
@@ -75,11 +73,7 @@ class TestValidateBackend:
     def test_known_backends(self):
         assert validate_backend("cost_model") == "cost_model"
         assert validate_backend("vectorized") == "vectorized"
-        assert validate_backend("auto", allow_auto=True) == "auto"
-
-    def test_auto_rejected_for_indexes(self):
-        with pytest.raises(ValidationError):
-            validate_backend("auto")
+        assert validate_backend("auto") == "auto"
 
     def test_unknown_rejected(self):
         with pytest.raises(ValidationError):
@@ -87,7 +81,8 @@ class TestValidateBackend:
 
 
 class TestKeywordsOnlyOracle:
-    """KeywordsOnlyIndex: the tightest oracle — order and cost must match."""
+    """KeywordsOnlyIndex vs VectorizedBackend: the tightest oracle — order
+    and cost must match."""
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("seed", range(3))
@@ -96,7 +91,7 @@ class TestKeywordsOnlyOracle:
         span = bounding_span(dataset)
         rng = random.Random(seed + 100)
         scalar = KeywordsOnlyIndex(dataset)
-        vectorized = KeywordsOnlyIndex(dataset, backend="vectorized")
+        vectorized = VectorizedBackend(dataset)
         for _ in range(12):
             rect = random_rect(rng, span)
             words = rng.sample(range(1, 9), rng.randint(1, 3))
@@ -107,36 +102,13 @@ class TestKeywordsOnlyOracle:
                 (workload, seed, rect, words),
             )
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_halfspace_region_sweep(self, seed):
-        dataset = workload_dataset("zipf", seed)
-        span = bounding_span(dataset)
-        rng = random.Random(seed + 200)
-        scalar = KeywordsOnlyIndex(dataset)
-        vectorized = KeywordsOnlyIndex(dataset, backend="vectorized")
-        for _ in range(10):
-            rect = random_rect(rng, span)
-            constraints = list(rect_to_halfspaces(rect.lo, rect.hi))
-            words = rng.sample(range(1, 9), rng.randint(1, 3))
-            c1, c2 = CostCounter(), CostCounter()
-            assert_same_answer_and_cost(
-                (scalar.query_constraints(constraints, words, c1), c1),
-                (vectorized.query_constraints(constraints, words, c2), c2),
-                (seed, rect, words),
-            )
-
     def test_empty_result_query(self):
         dataset = workload_dataset("zipf", 0)
         rect = Rect((-5.0, -5.0), (-4.0, -4.0))  # outside every point
         c1, c2 = CostCounter(), CostCounter()
         assert_same_answer_and_cost(
             (KeywordsOnlyIndex(dataset).query_rect(rect, [1, 2], c1), c1),
-            (
-                KeywordsOnlyIndex(dataset, backend="vectorized").query_rect(
-                    rect, [1, 2], c2
-                ),
-                c2,
-            ),
+            (VectorizedBackend(dataset).query_rect(rect, [1, 2], c2), c2),
         )
 
     def test_absent_keyword_short_circuits_identically(self):
@@ -145,12 +117,7 @@ class TestKeywordsOnlyOracle:
         rect = Rect((0.0, 0.0), (10.0, 10.0))
         assert_same_answer_and_cost(
             (KeywordsOnlyIndex(dataset).query_rect(rect, [1, 9999], c1), c1),
-            (
-                KeywordsOnlyIndex(dataset, backend="vectorized").query_rect(
-                    rect, [1, 9999], c2
-                ),
-                c2,
-            ),
+            (VectorizedBackend(dataset).query_rect(rect, [1, 9999], c2), c2),
         )
 
     def test_single_object_dataset(self):
@@ -159,12 +126,7 @@ class TestKeywordsOnlyOracle:
             c1, c2 = CostCounter(), CostCounter()
             assert_same_answer_and_cost(
                 (KeywordsOnlyIndex(dataset).query_rect(rect, [1, 2], c1), c1),
-                (
-                    KeywordsOnlyIndex(dataset, backend="vectorized").query_rect(
-                        rect, [1, 2], c2
-                    ),
-                    c2,
-                ),
+                (VectorizedBackend(dataset).query_rect(rect, [1, 2], c2), c2),
             )
 
     def test_duplicate_keywords(self):
@@ -173,12 +135,7 @@ class TestKeywordsOnlyOracle:
         c1, c2 = CostCounter(), CostCounter()
         assert_same_answer_and_cost(
             (KeywordsOnlyIndex(dataset).query_rect(rect, [2, 2, 2], c1), c1),
-            (
-                KeywordsOnlyIndex(dataset, backend="vectorized").query_rect(
-                    rect, [2, 2, 2], c2
-                ),
-                c2,
-            ),
+            (VectorizedBackend(dataset).query_rect(rect, [2, 2, 2], c2), c2),
         )
 
     def test_zero_area_rect(self):
@@ -188,9 +145,7 @@ class TestKeywordsOnlyOracle:
         rect = Rect((1.0, 2.0), (1.0, 2.0))
         c1, c2 = CostCounter(), CostCounter()
         scalar = KeywordsOnlyIndex(dataset).query_rect(rect, [1, 2], c1)
-        vector = KeywordsOnlyIndex(dataset, backend="vectorized").query_rect(
-            rect, [1, 2], c2
-        )
+        vector = VectorizedBackend(dataset).query_rect(rect, [1, 2], c2)
         assert [o.oid for o in scalar] == [o.oid for o in vector] == [0]
         assert c1.snapshot() == c2.snapshot()
 
@@ -205,8 +160,7 @@ class TestKeywordsOnlyOracle:
         rect = Rect((0.0, 0.0), (10.0, 10.0))
         for budget in (1, 5, 50, 100000):
             outcomes = []
-            for backend in ("cost_model", "vectorized"):
-                index = KeywordsOnlyIndex(dataset, backend=backend)
+            for index in (KeywordsOnlyIndex(dataset), VectorizedBackend(dataset)):
                 counter = CostCounter(budget=budget)
                 try:
                     index.query_rect(rect, [1, 2], counter)
@@ -214,66 +168,6 @@ class TestKeywordsOnlyOracle:
                 except BudgetExceeded:
                     outcomes.append(("exceeded", None))
             assert outcomes[0] == outcomes[1], (budget, outcomes)
-
-    def test_pickle_roundtrip_drops_arrays_keeps_backend(self):
-        import pickle
-
-        index = KeywordsOnlyIndex(workload_dataset("zipf", 0), backend="vectorized")
-        rect = Rect((0.0, 0.0), (10.0, 10.0))
-        before = [o.oid for o in index.query_rect(rect, [1, 2])]
-        clone = pickle.loads(pickle.dumps(index))
-        assert clone.backend == "vectorized"
-        assert clone._fast is None  # derived state was dropped
-        assert [o.oid for o in clone.query_rect(rect, [1, 2])] == before
-
-
-class TestLcSrpOracle:
-    @pytest.mark.parametrize("seed", range(2))
-    def test_lc_kw_single_constraint_and_simplex(self, seed):
-        dataset = workload_dataset("zipf", seed, num_objects=80)
-        span = bounding_span(dataset)
-        rng = random.Random(seed + 300)
-        scalar = LcKwIndex(dataset, k=2)
-        vectorized = LcKwIndex(dataset, k=2, backend="vectorized")
-        for _ in range(6):
-            rect = random_rect(rng, span)
-            constraints = list(rect_to_halfspaces(rect.lo, rect.hi))
-            words = rng.sample(range(1, 9), 2)
-            for subset in (constraints[:1], constraints):  # 1 vs 4 constraints
-                c1, c2 = CostCounter(), CostCounter()
-                assert_same_answer_and_cost(
-                    (scalar.query(subset, words, c1), c1),
-                    (vectorized.query(subset, words, c2), c2),
-                    (seed, rect, words, len(subset)),
-                )
-
-    @pytest.mark.parametrize("seed", range(2))
-    def test_srp_kw_ball_queries(self, seed):
-        dataset = workload_dataset("zipf", seed, num_objects=80)
-        span = bounding_span(dataset)
-        rng = random.Random(seed + 400)
-        scalar = SrpKwIndex(dataset, k=2)
-        vectorized = SrpKwIndex(dataset, k=2, backend="vectorized")
-        for _ in range(6):
-            center = (rng.uniform(0, span), rng.uniform(0, span))
-            radius = rng.uniform(0.1, span / 2)
-            words = rng.sample(range(1, 9), 2)
-            c1, c2 = CostCounter(), CostCounter()
-            assert_same_answer_and_cost(
-                (scalar.query(center, radius, words, c1), c1),
-                (vectorized.query(center, radius, words, c2), c2),
-                (seed, center, radius, words),
-            )
-
-    def test_srp_kw_zero_radius(self):
-        dataset = Dataset(make_objects([(1.0, 2.0), (3.0, 4.0)], [[1, 2], [1, 2]]))
-        c1, c2 = CostCounter(), CostCounter()
-        scalar = SrpKwIndex(dataset, k=2).query((1.0, 2.0), 0.0, [1, 2], c1)
-        vector = SrpKwIndex(dataset, k=2, backend="vectorized").query(
-            (1.0, 2.0), 0.0, [1, 2], c2
-        )
-        assert [o.oid for o in scalar] == [o.oid for o in vector] == [0]
-        assert c1.snapshot() == c2.snapshot()
 
 
 class TestEngineSweep:

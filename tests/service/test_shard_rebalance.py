@@ -187,3 +187,25 @@ class TestSnapshotCutover:
         engine.delete(victim)
         assert victim in pinned.live_oids()
         assert victim not in engine.epoch.live_oids()
+
+    def test_snapshot_read_rejects_empty_keywords(self, rng):
+        """Regression: an empty keyword list returned every object in the
+        rectangle from a pinned map; the live engine refuses the query."""
+        engine = _clustered_engine(rng)
+        pinned = SnapshotManager(engine).pin()
+        rect = Rect((0.0, 0.0), (1.0, 1.0))
+        with pytest.raises(ValidationError):
+            engine.query(rect, [])
+        with pytest.raises(ValidationError):
+            pinned.query(rect, [])
+
+    def test_snapshot_read_rejects_wrong_dimension_rect(self, rng):
+        """Regression: a 3-d rectangle against 2-d data raised IndexError
+        from the containment test instead of a ValidationError."""
+        engine = _clustered_engine(rng)
+        pinned = SnapshotManager(engine).pin()
+        rect = Rect((0.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        with pytest.raises(ValidationError):
+            engine.query(rect, [1, 2])
+        with pytest.raises(ValidationError, match="3-dimensional"):
+            pinned.query(rect, [1, 2])
